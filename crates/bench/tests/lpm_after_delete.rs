@@ -5,10 +5,9 @@
 //! and buckets may now interleave priorities, so search must compare
 //! care counts instead of trusting first-match order. This test drives
 //! the same delete-then-backfill prefix workload through every
-//! LPM-capable substrate — single search, the trait batch paths, the
-//! table's inherent batch/parallel paths, and the baseline
-//! (decode-everything) search — and checks each answer against the
-//! [`ReferenceModel`].
+//! LPM-capable substrate — single search, the trait batch paths, and the
+//! table's inherent batch/parallel paths — and checks each answer against
+//! the [`ReferenceModel`].
 //!
 //! [`CaRamSubsystem`]: ca_ram_core::subsystem::CaRamSubsystem
 //! [`ReferenceModel`]: ca_ram_core::oracle::ReferenceModel
@@ -132,16 +131,16 @@ fn every_lpm_engine_agrees_with_the_model_after_deletes() {
 }
 
 #[test]
-fn table_baseline_and_batch_paths_match_after_delete() {
+fn table_search_and_batch_paths_match_model_after_delete() {
     use ca_ram_bench::fleet::ca_ram_table;
     use ca_ram_core::probe::ProbePolicy;
     use ca_ram_core::table::{Arrangement, OverflowPolicy};
 
-    // Same workload, driven through the table's inherent search variants
-    // (hot path, baseline decode-all, batch, parallel batch) — all four
-    // must stay bit-identical in full-reach mode. The geometry is the
-    // fleet's "ca-ram/linear" design, built directly so the inherent
-    // paths are reachable.
+    // Same workload, driven through the table's inherent search paths
+    // (per key, batch, parallel batch): in full-reach mode all three must
+    // stay bit-identical and give answers the model accepts. The geometry
+    // is the fleet's "ca-ram/linear" design, built directly so the
+    // inherent paths are reachable.
     let mut table = ca_ram_table(
         KEY_BITS,
         KEY_BITS - 6,
@@ -153,30 +152,32 @@ fn table_baseline_and_batch_paths_match_after_delete() {
     )
     .expect("32-bit build");
     let (inserts, deletes, probes) = workload();
+    let mut model = ReferenceModel::new(KEY_BITS);
     for r in &inserts {
         table.insert_sorted(*r).expect("insert");
+        model.insert(*r);
     }
     for k in &deletes {
         assert!(table.delete(k) > 0, "delete must find {k:?}");
+        model.delete(k);
     }
     table.insert(backfill()).expect("backfill");
+    model.insert(backfill());
 
-    let batch = table.search_batch(&probes);
-    let parallel = table.search_batch_parallel(&probes, 4);
-    for (i, key) in probes.iter().enumerate() {
-        let hot = table.search(key);
-        let base = table.search_baseline(key);
-        let hot_hit = hot.hit.map(|h| (h.record.key, h.record.data));
-        for (path, o) in [
-            ("baseline", &base),
-            ("batch", &batch[i]),
-            ("batch_parallel", &parallel[i]),
-        ] {
-            assert_eq!(
-                o.hit.map(|h| (h.record.key, h.record.data)),
-                hot_hit,
-                "{path} disagrees with the hot path on probe {i} ({key:?})"
-            );
-        }
+    let per_key: Vec<_> = probes.iter().map(|k| table.search(k)).collect();
+    assert_eq!(table.search_batch(&probes), per_key, "batch vs search");
+    assert_eq!(
+        table.search_batch_parallel(&probes, 4),
+        per_key,
+        "batch_parallel vs search"
+    );
+    for (i, (key, outcome)) in probes.iter().zip(&per_key).enumerate() {
+        let exp = model.expected(key);
+        let got = outcome.hit.map(|h| h.record.data);
+        assert!(
+            exp.admits(got),
+            "search on probe {i} ({key:?}) returned {got:?}, model accepts {:?}",
+            exp.accepted
+        );
     }
 }

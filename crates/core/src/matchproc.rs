@@ -23,9 +23,9 @@ use crate::layout::{Record, RecordLayout};
 /// Shared best-care tie-break: does `candidate` beat the `incumbent` best
 /// match? The winner of a multi-bucket search is the record with the most
 /// care bits (the longest prefix); on equal care counts the incumbent —
-/// the record found *earlier* in probe order — keeps its seat. Every twin
-/// of the search path (hot, baseline, traced, deep, batch, overflow area)
-/// must route through this one predicate so they cannot silently diverge.
+/// the record found *earlier* in probe order — keeps its seat. The probe
+/// walk, the best-of-bucket matcher and the overflow area all route
+/// through this one predicate so they cannot silently diverge.
 #[must_use]
 #[inline]
 pub fn wins_tie_break(candidate: &Record, incumbent: Option<&Record>) -> bool {
@@ -487,8 +487,7 @@ impl MatchProcessorBank {
 
     /// Reference implementation of [`MatchProcessorBank::match_row`] that
     /// fully decodes every valid slot before comparing. Kept as the
-    /// correctness oracle for the direct stored-bit compare and as the perf
-    /// baseline the `perf_smoke` bench measures speedups against.
+    /// correctness oracle every compare kernel is checked against.
     ///
     /// # Panics
     ///

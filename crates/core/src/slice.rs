@@ -317,26 +317,18 @@ impl CaRamSlice {
     #[must_use]
     pub fn search_bucket_best(&self, row: u64, search: &SearchKey) -> Option<(u32, Record)> {
         let words = self.array.row(row);
-        let m = self
+        let mut match_vector = self
             .bank
-            .match_row(words, self.aux(row).valid, self.slots_per_row, search);
-        Self::best_of_vector(&self.bank, words, m.match_vector)
-    }
-
-    /// Picks the max-care record among the set bits of `match_vector`,
-    /// via the one shared [`wins_tie_break`] predicate (slots are visited
-    /// in ascending order, so on equal care the lowest slot keeps its
-    /// seat).
-    fn best_of_vector(
-        bank: &MatchProcessorBank,
-        words: &[u64],
-        mut match_vector: u128,
-    ) -> Option<(u32, Record)> {
+            .match_row(words, self.aux(row).valid, self.slots_per_row, search)
+            .match_vector;
+        // Slots are visited in ascending order, so under the one shared
+        // `wins_tie_break` predicate the lowest slot keeps its seat on
+        // equal care.
         let mut best: Option<(u32, Record)> = None;
         while match_vector != 0 {
             let slot = match_vector.trailing_zeros();
             match_vector &= match_vector - 1;
-            let record = bank.extract(words, slot);
+            let record = self.bank.extract(words, slot);
             if wins_tie_break(&record, best.as_ref().map(|(_, b)| b)) {
                 best = Some((slot, record));
             }
@@ -359,35 +351,6 @@ impl CaRamSlice {
         }
         self.bank
             .search_row(self.array.row(row), valid, self.slots_per_row, search)
-    }
-
-    /// Decode-all reference version of [`CaRamSlice::search_bucket`]: every
-    /// valid slot is fully deserialized before comparison (see
-    /// [`MatchProcessorBank::match_row_decode_all`]). Kept as the oracle and
-    /// perf baseline for the direct stored-bit compare.
-    #[must_use]
-    pub fn search_bucket_baseline(&self, row: u64, search: &SearchKey) -> Option<(u32, Record)> {
-        let words = self.array.row(row);
-        let m =
-            self.bank
-                .match_row_decode_all(words, self.aux(row).valid, self.slots_per_row, search);
-        m.first_match
-            .map(|slot| (slot, self.bank.extract(words, slot)))
-    }
-
-    /// Decode-all twin of [`CaRamSlice::search_bucket_best`], backing the
-    /// baseline search's full-reach mode.
-    #[must_use]
-    pub fn search_bucket_baseline_best(
-        &self,
-        row: u64,
-        search: &SearchKey,
-    ) -> Option<(u32, Record)> {
-        let words = self.array.row(row);
-        let m =
-            self.bank
-                .match_row_decode_all(words, self.aux(row).valid, self.slots_per_row, search);
-        Self::best_of_vector(&self.bank, words, m.match_vector)
     }
 
     /// Raises the reach of `row` to at least `reach`.

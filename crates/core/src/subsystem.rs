@@ -407,8 +407,8 @@ impl SearchEngine for DatabaseEngine<'_> {
     // Deletion funnels into `CaRamTable::delete`, which flips the table's
     // `full_scan` degradation flag; every subsystem search entry point —
     // `search`/`peek`, `pump[_parallel]`, and this adapter's
-    // `search[_batch[_parallel_stats]]` — reads that flag through
-    // `search_with_scratch`, so post-delete LPM lookups never shortcut the
+    // `search[_batch[_parallel_stats]]` — reads that flag inside the
+    // table's one probe walk, so post-delete LPM lookups never shortcut the
     // bucket scan regardless of which port they arrive on.
     fn delete(&mut self, key: &crate::key::TernaryKey) -> u32 {
         self.table.delete(key)

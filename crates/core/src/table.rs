@@ -27,7 +27,7 @@ use crate::stats::{
     AtomicSearchStats, LoadReport, OccupancyHistogram, PlacementStats, SearchStats,
 };
 use crate::storage::StorageBackend;
-use crate::telemetry::trace::{ProbeSummary, Stage, TelemetrySink};
+use crate::telemetry::trace::{NullSink, ProbeSummary, Stage, TelemetrySink};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -228,11 +228,11 @@ pub struct CaRamTable {
     /// searches must scan the full reach instead of stopping at the first
     /// match (see `search`).
     full_scan: bool,
-    /// Optional telemetry receiver. `None` (the default) keeps the search
-    /// hot path on the untraced PR-1 code: the only cost is one branch.
+    /// Optional telemetry receiver. `None` (the default) runs the probe
+    /// walk with the zero-sized [`NullSink`]: the only cost is one branch.
     sink: Option<Arc<dyn TelemetrySink>>,
     /// `wants_match_vectors()` of the installed sink, cached at install so
-    /// the traced path skips that virtual call on every search.
+    /// the traced walk skips that virtual call on every search.
     sink_deep: bool,
 }
 
@@ -621,16 +621,10 @@ impl CaRamTable {
         }
     }
 
-    /// Searches one logical bucket; horizontal slices are examined in
-    /// priority (slot) order. One parallel memory access.
-    fn search_logical_bucket(&self, bucket: u64, key: &SearchKey) -> Option<(u32, Record)> {
-        let (v, row) = self.split_bucket(bucket);
-        self.search_split_bucket(v, row, key)
-    }
-
-    /// [`CaRamTable::search_logical_bucket`] with the bucket already split
-    /// into its vertical slice group and physical row — the probe loop
-    /// splits once and shares the result with the reach lookup.
+    /// Match + extract over one logical bucket, already split into its
+    /// vertical slice group and physical row: horizontal slices are
+    /// examined in priority (slot) order and the first match wins. One
+    /// parallel memory access.
     fn search_split_bucket(&self, v: u32, row: u64, key: &SearchKey) -> Option<(u32, Record)> {
         for h in 0..self.horizontal {
             if let Some((slot, record)) = self.slices[self.slice_of(v, h)].search_bucket(row, key) {
@@ -640,17 +634,11 @@ impl CaRamTable {
         None
     }
 
-    /// Full-reach (post-delete) twin of
-    /// [`CaRamTable::search_logical_bucket`]: slot order no longer encodes
-    /// priority once deletes have punched holes that later inserts
-    /// backfill, so every matching slot of the bucket is compared and the
-    /// max-care record wins (lowest slice/slot on ties).
-    fn search_logical_bucket_full(&self, bucket: u64, key: &SearchKey) -> Option<(u32, Record)> {
-        let (v, row) = self.split_bucket(bucket);
-        self.search_split_bucket_full(v, row, key)
-    }
-
-    /// Pre-split twin of [`CaRamTable::search_logical_bucket_full`].
+    /// Full-reach (post-delete) twin of [`CaRamTable::search_split_bucket`]:
+    /// slot order no longer encodes priority once deletes have punched
+    /// holes that later inserts backfill, so every matching slot of the
+    /// bucket is compared and the max-care record wins (lowest slice/slot
+    /// on ties).
     fn search_split_bucket_full(&self, v: u32, row: u64, key: &SearchKey) -> Option<(u32, Record)> {
         let mut best: Option<(u32, Record)> = None;
         for h in 0..self.horizontal {
@@ -1111,34 +1099,50 @@ impl CaRamTable {
     #[must_use]
     pub fn search(&self, key: &SearchKey) -> SearchOutcome {
         let mut homes = BucketList::new();
-        self.search_with_scratch(key, &mut homes)
+        self.home_buckets_into(key, &mut homes);
+        self.probe(key, &homes)
     }
 
-    /// One lookup with a caller-provided home-bucket scratch list.
-    fn search_with_scratch(&self, key: &SearchKey, homes: &mut BucketList) -> SearchOutcome {
-        // The telemetry branch costs one pointer-null test when no sink is
-        // installed; the traced path is a separate function so the hot
-        // loop below stays exactly the PR-1 code.
-        if let Some(sink) = &self.sink {
-            return if self.sink_deep {
-                self.search_traced_deep(key, homes, sink.as_ref())
-            } else {
-                self.search_traced_shallow(key, homes, sink.as_ref())
-            };
+    /// Runs the [`CaRamTable::probe_walk`] instantiation that matches the
+    /// installed sink: none walks with the zero-sized [`NullSink`] (the
+    /// untraced hot loop), a shallow sink receives one [`ProbeSummary`]
+    /// per search, and a deep sink (cached `wants_match_vectors`) also
+    /// receives the per-stage events.
+    fn probe(&self, key: &SearchKey, homes: &BucketList) -> SearchOutcome {
+        match self.sink.as_deref() {
+            None => self.probe_walk::<_, false>(key, homes, &NullSink),
+            Some(sink) if self.sink_deep => self.probe_walk::<_, true>(key, homes, sink),
+            Some(sink) => self.probe_walk::<_, false>(key, homes, sink),
         }
-        // Computed once; reused below for the overflow-area probe.
-        self.home_buckets_into(key, homes);
-        self.probe_homes(key, homes)
     }
 
-    /// The probe chain over an already-computed home set. Factored out of
-    /// [`CaRamTable::search_with_scratch`] so the batched paths hash each
-    /// key exactly once: the batch loop computes key `i + 1`'s homes (and
-    /// prefetches its rows) while key `i` is compared, then hands the list
-    /// here untouched.
-    fn probe_homes(&self, key: &SearchKey, homes: &BucketList) -> SearchOutcome {
+    /// The probe walk over an already-computed home set — the paper's
+    /// Fig. 4 pipeline (hash → row fetch → match → extract) plus the
+    /// overflow probe, and the only search loop of the table.
+    ///
+    /// Generic over the sink it reports to, so each instantiation compiles
+    /// to exactly its own cost: with [`NullSink`] every report is an inline
+    /// no-op and the walk is the untraced hot loop; any other sink gets one
+    /// [`TelemetrySink::search_complete`] per search. `DEEP` additionally
+    /// fires the [`Stage`] events and computes the full match vector of
+    /// every fetched slice row for its popcount; the early-exit matcher
+    /// still picks the winner, so outcomes never depend on the sink.
+    ///
+    /// Takes the homes precomputed so the batched path can hash key `i + 1`
+    /// (and prefetch its rows) while key `i` is walked.
+    fn probe_walk<S: TelemetrySink + ?Sized, const DEEP: bool>(
+        &self,
+        key: &SearchKey,
+        homes: &BucketList,
+        sink: &S,
+    ) -> SearchOutcome {
+        if DEEP {
+            sink.stage(Stage::Hash, homes.as_slice().len() as u64);
+        }
         let mut accesses = 0u32;
         let mut best: Option<Hit> = None;
+        let mut winning_step = 0u32;
+        let mut max_step = 0u32;
         for &home in homes.as_slice() {
             // The home bucket's split serves both the reach lookup and
             // rung 0's search — reach-0 chains (the common case) split
@@ -1157,6 +1161,7 @@ impl CaRamTable {
                     (b, v, r)
                 };
                 accesses += 1;
+                max_step = max_step.max(step);
                 if step < reach {
                     // Pull rung k+1's rows toward L1 while rung k is
                     // compared (prefetch distance: one probe rung).
@@ -1166,6 +1171,13 @@ impl CaRamTable {
                         self.logical_buckets,
                     ));
                 }
+                if DEEP {
+                    sink.stage(Stage::RowFetch, u64::from(self.slots_per_bucket));
+                    for h in 0..self.horizontal {
+                        let m = self.slices[self.slice_of(v, h)].match_bucket(row, key);
+                        sink.stage(Stage::Match, u64::from(m.match_count()));
+                    }
+                }
                 // Full-reach mode also compares matches *within* a bucket
                 // (a backfilled slot may outrank an earlier one).
                 let found = if self.full_scan {
@@ -1174,16 +1186,16 @@ impl CaRamTable {
                     self.search_split_bucket(v, row, key)
                 };
                 if let Some((slot, record)) = found {
-                    let hit = Hit {
-                        bucket,
-                        slot,
-                        record,
-                        from_overflow: false,
-                    };
                     // Across multiple probed homes (masked search keys) and
                     // full-reach scans, prefer the most specific match.
                     if wins_tie_break(&record, best.as_ref().map(|b| &b.record)) {
-                        best = Some(hit);
+                        best = Some(Hit {
+                            bucket,
+                            slot,
+                            record,
+                            from_overflow: false,
+                        });
+                        winning_step = step;
                     }
                     if !self.full_scan {
                         break; // sorted chain: first match wins
@@ -1192,87 +1204,9 @@ impl CaRamTable {
             }
         }
         if self.overflow.is_some() {
-            if let Some(r) = self.search_overflow(homes.as_slice(), key) {
-                if wins_tie_break(&r, best.as_ref().map(|b| &b.record)) {
-                    best = Some(Hit {
-                        bucket: 0,
-                        slot: 0,
-                        record: r,
-                        from_overflow: true,
-                    });
-                }
+            if DEEP {
+                sink.stage(Stage::OverflowProbe, self.overflow_count() as u64);
             }
-        }
-        SearchOutcome {
-            hit: best,
-            memory_accesses: accesses.max(1),
-        }
-    }
-
-    /// The traced twin of [`CaRamTable::search_with_scratch`]: identical
-    /// probe logic and bit-identical outcomes, plus telemetry events. In
-    /// shallow mode (the default for [`crate::telemetry::HistogramSink`])
-    /// only the per-search [`ProbeSummary`] is reported and the early-exit
-    /// matcher is kept; when the sink asks for match vectors the full
-    /// match-vector popcount of every fetched row is computed and
-    /// per-stage events fire (hash → row fetch → match → extract, plus
-    /// the overflow probe). The two modes are separate loops so the
-    /// shallow one carries no per-probe branch; the mode is picked from
-    /// the deep flag cached at sink installation.
-    ///
-    /// Shallow trace: the untraced probe loop plus probe-length
-    /// bookkeeping and one [`TelemetrySink::search_complete`] call.
-    #[allow(clippy::cast_possible_truncation)] // home counts are tiny
-    fn search_traced_shallow(
-        &self,
-        key: &SearchKey,
-        homes: &mut BucketList,
-        sink: &dyn TelemetrySink,
-    ) -> SearchOutcome {
-        self.home_buckets_into(key, homes);
-        let mut accesses = 0u32;
-        let mut best: Option<Hit> = None;
-        let mut winning_step = 0u32;
-        let mut max_step = 0u32;
-        for &home in homes.as_slice() {
-            let reach = self.reach(home);
-            for step in 0..=reach {
-                let bucket = self
-                    .config
-                    .probe
-                    .bucket_at(home, step, self.logical_buckets);
-                accesses += 1;
-                max_step = max_step.max(step);
-                if step < reach {
-                    self.prefetch_bucket(self.config.probe.bucket_at(
-                        home,
-                        step + 1,
-                        self.logical_buckets,
-                    ));
-                }
-                let found = if self.full_scan {
-                    self.search_logical_bucket_full(bucket, key)
-                } else {
-                    self.search_logical_bucket(bucket, key)
-                };
-                if let Some((slot, record)) = found {
-                    let hit = Hit {
-                        bucket,
-                        slot,
-                        record,
-                        from_overflow: false,
-                    };
-                    if wins_tie_break(&record, best.as_ref().map(|b| &b.record)) {
-                        best = Some(hit);
-                        winning_step = step;
-                    }
-                    if !self.full_scan {
-                        break;
-                    }
-                }
-            }
-        }
-        if self.overflow.is_some() {
             if let Some(r) = self.search_overflow(homes.as_slice(), key) {
                 if wins_tie_break(&r, best.as_ref().map(|b| &b.record)) {
                     best = Some(Hit {
@@ -1285,237 +1219,26 @@ impl CaRamTable {
                 }
             }
         }
-        let probe_length = if best.is_some() {
-            u64::from(winning_step)
-        } else {
-            u64::from(max_step)
-        };
+        if DEEP {
+            if let Some(h) = &best {
+                sink.stage(Stage::Extract, u64::from(h.slot));
+            }
+        }
+        let memory_accesses = accesses.max(1);
         sink.search_complete(&ProbeSummary {
             hit: best.is_some(),
-            row_fetches: u64::from(accesses.max(1)),
-            probe_length,
+            row_fetches: u64::from(memory_accesses),
+            probe_length: u64::from(if best.is_some() {
+                winning_step
+            } else {
+                max_step
+            }),
             homes: homes.as_slice().len() as u64,
         });
         SearchOutcome {
             hit: best,
-            memory_accesses: accesses.max(1),
+            memory_accesses,
         }
-    }
-
-    /// Deep trace: per-stage events plus exact match-vector popcounts.
-    #[allow(clippy::cast_possible_truncation)] // home counts are tiny
-    fn search_traced_deep(
-        &self,
-        key: &SearchKey,
-        homes: &mut BucketList,
-        sink: &dyn TelemetrySink,
-    ) -> SearchOutcome {
-        self.home_buckets_into(key, homes);
-        let home_count = homes.as_slice().len() as u64;
-        sink.stage(Stage::Hash, home_count);
-        let mut accesses = 0u32;
-        let mut best: Option<Hit> = None;
-        let mut winning_step = 0u32;
-        let mut max_step = 0u32;
-        for &home in homes.as_slice() {
-            let reach = self.reach(home);
-            for step in 0..=reach {
-                let bucket = self
-                    .config
-                    .probe
-                    .bucket_at(home, step, self.logical_buckets);
-                accesses += 1;
-                max_step = max_step.max(step);
-                if step < reach {
-                    self.prefetch_bucket(self.config.probe.bucket_at(
-                        home,
-                        step + 1,
-                        self.logical_buckets,
-                    ));
-                }
-                sink.stage(Stage::RowFetch, u64::from(self.slots_per_bucket));
-                if let Some((slot, record)) = self.search_logical_bucket_deep(bucket, key, sink) {
-                    let hit = Hit {
-                        bucket,
-                        slot,
-                        record,
-                        from_overflow: false,
-                    };
-                    if wins_tie_break(&record, best.as_ref().map(|b| &b.record)) {
-                        best = Some(hit);
-                        winning_step = step;
-                    }
-                    if !self.full_scan {
-                        break;
-                    }
-                }
-            }
-        }
-        if self.overflow.is_some() {
-            sink.stage(Stage::OverflowProbe, self.overflow_count() as u64);
-            if let Some(r) = self.search_overflow(homes.as_slice(), key) {
-                if wins_tie_break(&r, best.as_ref().map(|b| &b.record)) {
-                    best = Some(Hit {
-                        bucket: 0,
-                        slot: 0,
-                        record: r,
-                        from_overflow: true,
-                    });
-                    winning_step = 0;
-                }
-            }
-        }
-        if let Some(h) = &best {
-            sink.stage(Stage::Extract, u64::from(h.slot));
-        }
-        let probe_length = if best.is_some() {
-            u64::from(winning_step)
-        } else {
-            u64::from(max_step)
-        };
-        sink.search_complete(&ProbeSummary {
-            hit: best.is_some(),
-            row_fetches: u64::from(accesses.max(1)),
-            probe_length,
-            homes: home_count,
-        });
-        SearchOutcome {
-            hit: best,
-            memory_accesses: accesses.max(1),
-        }
-    }
-
-    /// Deep-trace variant of [`CaRamTable::search_logical_bucket`]: runs
-    /// the full match-vector computation on every horizontal slice (so the
-    /// popcount is exact) and reports one [`Stage::Match`] event per
-    /// slice. The returned winner is identical to the untraced matcher's:
-    /// lowest-numbered matching slot of the lowest horizontal slice, or —
-    /// in full-reach (post-delete) mode, where slot order no longer
-    /// encodes priority — the max-care match of the whole bucket.
-    fn search_logical_bucket_deep(
-        &self,
-        bucket: u64,
-        key: &SearchKey,
-        sink: &dyn TelemetrySink,
-    ) -> Option<(u32, Record)> {
-        let (v, row) = self.split_bucket(bucket);
-        let mut found: Option<(u32, Record)> = None;
-        for h in 0..self.horizontal {
-            let s = self.slice_of(v, h);
-            let m = self.slices[s].match_bucket(row, key);
-            sink.stage(Stage::Match, u64::from(m.match_count()));
-            if self.full_scan {
-                if let Some((slot, record)) = self.slices[s].search_bucket_best(row, key) {
-                    if wins_tie_break(&record, found.as_ref().map(|(_, b)| b)) {
-                        found = Some((h * self.slots_per_slice_row + slot, record));
-                    }
-                }
-            } else if found.is_none() {
-                if let Some(slot) = m.first_match {
-                    let record = self.slices[s]
-                        .read_record(row, slot)
-                        .expect("matched slot is valid");
-                    found = Some((h * self.slots_per_slice_row + slot, record));
-                }
-            }
-        }
-        found
-    }
-
-    /// Reference lookup, kept verbatim from before the hot-path work: heap-
-    /// allocates the home-bucket list per call (twice when an overflow area
-    /// is configured) and fully decodes every valid slot of every probed
-    /// row. Used as the equivalence oracle in tests and as the baseline the
-    /// `perf_smoke` bench measures speedups against.
-    #[must_use]
-    pub fn search_baseline(&self, key: &SearchKey) -> SearchOutcome {
-        let homes = self.home_buckets(key);
-        let mut accesses = 0u32;
-        let mut best: Option<Hit> = None;
-        for home in homes {
-            let reach = self.reach(home);
-            for step in 0..=reach {
-                let bucket = self
-                    .config
-                    .probe
-                    .bucket_at(home, step, self.logical_buckets);
-                accesses += 1;
-                let found = if self.full_scan {
-                    self.search_logical_bucket_baseline_full(bucket, key)
-                } else {
-                    self.search_logical_bucket_baseline(bucket, key)
-                };
-                if let Some((slot, record)) = found {
-                    let hit = Hit {
-                        bucket,
-                        slot,
-                        record,
-                        from_overflow: false,
-                    };
-                    if wins_tie_break(&record, best.as_ref().map(|b| &b.record)) {
-                        best = Some(hit);
-                    }
-                    if !self.full_scan {
-                        break;
-                    }
-                }
-            }
-        }
-        if self.overflow.is_some() {
-            let homes = self.home_buckets(key);
-            if let Some(r) = self.search_overflow(&homes, key) {
-                if wins_tie_break(&r, best.as_ref().map(|b| &b.record)) {
-                    best = Some(Hit {
-                        bucket: 0,
-                        slot: 0,
-                        record: r,
-                        from_overflow: true,
-                    });
-                }
-            }
-        }
-        SearchOutcome {
-            hit: best,
-            memory_accesses: accesses.max(1),
-        }
-    }
-
-    /// Decode-all variant of [`CaRamTable::search_logical_bucket`] backing
-    /// [`CaRamTable::search_baseline`].
-    fn search_logical_bucket_baseline(
-        &self,
-        bucket: u64,
-        key: &SearchKey,
-    ) -> Option<(u32, Record)> {
-        let (v, row) = self.split_bucket(bucket);
-        for h in 0..self.horizontal {
-            if let Some((slot, record)) =
-                self.slices[self.slice_of(v, h)].search_bucket_baseline(row, key)
-            {
-                return Some((h * self.slots_per_slice_row + slot, record));
-            }
-        }
-        None
-    }
-
-    /// Decode-all twin of [`CaRamTable::search_logical_bucket_full`].
-    fn search_logical_bucket_baseline_full(
-        &self,
-        bucket: u64,
-        key: &SearchKey,
-    ) -> Option<(u32, Record)> {
-        let (v, row) = self.split_bucket(bucket);
-        let mut best: Option<(u32, Record)> = None;
-        for h in 0..self.horizontal {
-            if let Some((slot, record)) =
-                self.slices[self.slice_of(v, h)].search_bucket_baseline_best(row, key)
-            {
-                if wins_tie_break(&record, best.as_ref().map(|(_, b)| b)) {
-                    best = Some((h * self.slots_per_slice_row + slot, record));
-                }
-            }
-        }
-        best
     }
 
     // ---- batched search -----------------------------------------------------
@@ -1542,11 +1265,11 @@ impl CaRamTable {
     /// `Vec<SearchOutcome>` that [`CaRamTable::search_batch`] builds.
     pub fn search_batch_into(&self, keys: &[SearchKey], mut emit: impl FnMut(SearchOutcome)) {
         if self.sink.is_some() {
-            // Traced searches hash inside the traced twins so telemetry
-            // sees every stage; no hash-ahead pipelining there.
+            // Traced tables walk key by key: no hash-ahead pipelining.
             let mut homes = BucketList::new();
             for key in keys {
-                emit(self.search_with_scratch(key, &mut homes));
+                self.home_buckets_into(key, &mut homes);
+                emit(self.probe(key, &homes));
             }
             return;
         }
@@ -1562,7 +1285,7 @@ impl CaRamTable {
                     self.prefetch_bucket(home);
                 }
             }
-            emit(self.probe_homes(&keys[i], &cur));
+            emit(self.probe_walk::<_, false>(&keys[i], &cur, &NullSink));
             std::mem::swap(&mut cur, &mut next);
         }
     }
@@ -2416,6 +2139,22 @@ mod tests {
         );
     }
 
+    /// The records of [`loaded_table_and_probes`], in insertion order
+    /// (unsorted: every fifth one is a shorter ternary key).
+    fn loaded_records() -> Vec<Record> {
+        (0..40u64)
+            .map(|i| {
+                let k = u128::from(i);
+                let key = if i % 5 == 0 {
+                    TernaryKey::ternary((k * 97) & 0xFFF0, 0xF, 16)
+                } else {
+                    TernaryKey::binary((k * 97) & 0xFFFF, 16)
+                };
+                Record::new(key, i)
+            })
+            .collect()
+    }
+
     /// A ternary table with spills and an overflow area, plus a probe mix
     /// of hits, misses, and masked keys — shared by the equivalence tests.
     fn loaded_table_and_probes() -> (CaRamTable, Vec<SearchKey>) {
@@ -2429,14 +2168,8 @@ mod tests {
             overflow: OverflowPolicy::ParallelArea { capacity: 4 },
         };
         let mut t = CaRamTable::new(config, Box::new(RangeSelect::new(8, 5))).unwrap();
-        for i in 0..40u64 {
-            let k = u128::from(i);
-            let key = if i % 5 == 0 {
-                TernaryKey::ternary((k * 97) & 0xFFF0, 0xF, 16)
-            } else {
-                TernaryKey::binary((k * 97) & 0xFFFF, 16)
-            };
-            t.insert_weighted(Record::new(key, i), 1.0).unwrap();
+        for record in loaded_records() {
+            t.insert_weighted(record, 1.0).unwrap();
         }
         let mut probes = Vec::new();
         for i in 0..60u128 {
@@ -2449,10 +2182,19 @@ mod tests {
     }
 
     #[test]
-    fn search_agrees_with_baseline() {
-        let (t, probes) = loaded_table_and_probes();
+    fn search_agrees_with_reference_model() {
+        let (mut t, probes) = loaded_table_and_probes();
+        // The ternary records went in unsorted, so only full-reach mode
+        // promises the max-care match.
+        t.force_full_scan();
+        let mut model = crate::oracle::ReferenceModel::new(16);
+        for record in loaded_records() {
+            model.insert(record);
+        }
         for key in &probes {
-            assert_eq!(t.search(key), t.search_baseline(key), "key {key:?}");
+            let expected = model.expected(key);
+            let got = t.search(key).hit.map(|h| h.record.data);
+            assert!(expected.admits(got), "key {key:?}: {got:?} vs {expected:?}");
         }
     }
 

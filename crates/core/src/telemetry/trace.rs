@@ -3,8 +3,8 @@
 //! Instrumented components ([`crate::table::CaRamTable`],
 //! [`crate::subsystem::CaRamSubsystem`], the input-controller model) hold
 //! an `Option<Arc<dyn TelemetrySink>>`. With no sink installed the hot
-//! path pays a single pointer-null branch — the PR-1 performance gate is
-//! preserved. With a sink installed, the traced search path reports:
+//! path pays a single pointer-null branch. With a sink installed, the
+//! traced search path reports:
 //!
 //! * per-stage events mirroring the paper's Fig. 4 pipeline (hash → row
 //!   fetch → match → priority-decode/extract, plus the overflow probe);
@@ -12,11 +12,11 @@
 //! * bucket occupancy at insert time (the live Fig. 7 series);
 //! * queue depth and wait cycles from the subsystem input controller.
 //!
-//! Every trait method has a no-op default, so a sink implements only what
-//! it wants. [`HistogramSink`] is the production sink (lock-free
+//! Every trait method has an inline no-op default, so a sink implements
+//! only what it wants. [`HistogramSink`] is the production sink (lock-free
 //! histograms, shareable across threads); [`TraceBuffer`] records discrete
 //! events for tests; [`NullSink`] accepts everything and keeps nothing —
-//! it exists to measure the cost of the traced path itself.
+//! the table's probe walk reports to it when no sink is installed.
 
 use std::sync::Arc;
 use std::sync::Mutex;
@@ -101,6 +101,7 @@ pub trait TelemetrySink: Send + Sync {
     /// True if the sink wants per-stage [`TelemetrySink::stage`] events
     /// with match-vector popcounts. When false the traced path skips the
     /// full match-vector computation and keeps the early-exit matcher.
+    #[inline]
     fn wants_match_vectors(&self) -> bool {
         false
     }
@@ -110,36 +111,43 @@ pub trait TelemetrySink: Send + Sync {
     /// [`Stage::RowFetch`], match-vector popcount for [`Stage::Match`],
     /// matched slot index for [`Stage::Extract`], overflow records
     /// scanned for [`Stage::OverflowProbe`].
+    #[inline]
     fn stage(&self, stage: Stage, detail: u64) {
         let _ = (stage, detail);
     }
 
     /// A search resolved.
+    #[inline]
     fn search_complete(&self, summary: &ProbeSummary) {
         let _ = summary;
     }
 
     /// A record was inserted into a bucket that now holds `occupancy`
     /// records (the live Fig. 7 data series).
+    #[inline]
     fn insert_occupancy(&self, occupancy: u32) {
         let _ = occupancy;
     }
 
     /// Input-controller queue depth observed at a service opportunity.
+    #[inline]
     fn queue_depth(&self, depth: u64) {
         let _ = depth;
     }
 
     /// A request waited `cycles` in the input-controller queue before
     /// being serviced.
+    #[inline]
     fn queue_wait(&self, cycles: u64) {
         let _ = cycles;
     }
 }
 
-/// Sink that accepts every event and records nothing. Used to measure the
-/// overhead of the traced path itself (event dispatch, summary
-/// construction) with zero recording cost.
+/// Sink that accepts every event and records nothing. A table with no
+/// sink installed runs its probe walk with this zero-sized type, and since
+/// every method is an inline no-op that instantiation compiles to the
+/// untraced hot loop. Installed behind an `Arc<dyn TelemetrySink>`, it
+/// instead prices the traced walk's dispatch alone.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NullSink;
 

@@ -1,16 +1,21 @@
 //! Property-based equivalence tests for the batched/parallel search
 //! pipeline: `search_batch` (serial and sharded) must be bit-identical to
-//! per-key `search`, which must itself agree with the decode-everything
-//! reference `search_baseline`; the parallel bulk operations must agree
-//! with their serial forms. Both binary and ternary layouts are exercised,
-//! with masked search keys and masked stored keys.
+//! per-key `search`, with and without a telemetry sink installed, and
+//! per-key `search` must give an answer the `ReferenceModel` accepts; the
+//! parallel bulk operations must agree with their serial forms. Both
+//! binary and ternary layouts are exercised, with masked search keys and
+//! masked stored keys.
+
+use std::sync::Arc;
 
 use ca_ram::core::error::CaRamError;
 use ca_ram::core::index::RangeSelect;
 use ca_ram::core::key::{SearchKey, TernaryKey};
 use ca_ram::core::layout::{Record, RecordLayout};
+use ca_ram::core::oracle::ReferenceModel;
 use ca_ram::core::probe::ProbePolicy;
 use ca_ram::core::table::{Arrangement, CaRamTable, OverflowPolicy, TableConfig};
+use ca_ram::core::telemetry::HistogramSink;
 use proptest::prelude::*;
 
 /// A to-be-stored key: `value` with its low `dc_len` bits don't-care
@@ -41,7 +46,13 @@ fn probe_strategy() -> impl Strategy<Value = Probe> {
     })
 }
 
-fn build_table(ternary: bool, overflow: OverflowPolicy, stored: &[StoredKey]) -> CaRamTable {
+/// Builds the table, plus a reference model holding exactly the records
+/// whose insert succeeded.
+fn build_table(
+    ternary: bool,
+    overflow: OverflowPolicy,
+    stored: &[StoredKey],
+) -> (CaRamTable, ReferenceModel) {
     let layout = RecordLayout::new(16, ternary, 8);
     let config = TableConfig {
         rows_log2: 5,
@@ -54,16 +65,18 @@ fn build_table(ternary: bool, overflow: OverflowPolicy, stored: &[StoredKey]) ->
     // Index over bits 8..13: stored don't-care bits (low 8) never overlap,
     // while masked *search* keys may, exercising multi-home enumeration.
     let mut table = CaRamTable::new(config, Box::new(RangeSelect::new(8, 5))).expect("valid");
+    let mut model = ReferenceModel::new(16);
     for (i, s) in stored.iter().enumerate() {
         let dc = if ternary { (1u128 << s.dc_len) - 1 } else { 0 };
         let key = TernaryKey::ternary(u128::from(s.value) & !dc, dc, 16);
         let record = Record::new(key, (i % 251) as u64);
         match table.insert(record) {
-            Ok(_) | Err(CaRamError::TableFull { .. }) => {}
+            Ok(_) => model.insert(record),
+            Err(CaRamError::TableFull { .. }) => {}
             Err(e) => panic!("unexpected insert error: {e}"),
         }
     }
-    table
+    (table, model)
 }
 
 fn to_search_keys(probes: &[Probe]) -> Vec<SearchKey> {
@@ -84,10 +97,12 @@ fn to_search_keys(probes: &[Probe]) -> Vec<SearchKey> {
         .collect()
 }
 
-fn assert_all_search_paths_agree(table: &CaRamTable, keys: &[SearchKey]) {
+/// Untraced per-key `search` is the reference: the batch paths must match
+/// it bit for bit, untraced and under a shallow and a deep sink, and a
+/// sink fed by a traced batch must end up in the same state as one fed by
+/// traced per-key searches over the same keys.
+fn assert_all_search_paths_agree(table: &mut CaRamTable, keys: &[SearchKey]) {
     let per_key: Vec<_> = keys.iter().map(|k| table.search(k)).collect();
-    let baseline: Vec<_> = keys.iter().map(|k| table.search_baseline(k)).collect();
-    assert_eq!(per_key, baseline, "search vs search_baseline");
     assert_eq!(table.search_batch(keys), per_key, "search_batch vs search");
     for threads in [2, 3] {
         assert_eq!(
@@ -96,6 +111,59 @@ fn assert_all_search_paths_agree(table: &CaRamTable, keys: &[SearchKey]) {
             "search_batch_parallel({threads}) vs search"
         );
     }
+    for deep in [false, true] {
+        let sink = || {
+            Arc::new(if deep {
+                HistogramSink::deep()
+            } else {
+                HistogramSink::new()
+            })
+        };
+        let per_key_sink = sink();
+        table.set_telemetry_sink(Arc::clone(&per_key_sink) as _);
+        let traced: Vec<_> = keys.iter().map(|k| table.search(k)).collect();
+        assert_eq!(traced, per_key, "traced search, deep={deep}");
+        let expected = per_key_sink.snapshot();
+        for threads in [1, 2, 3] {
+            let batch_sink = sink();
+            table.set_telemetry_sink(Arc::clone(&batch_sink) as _);
+            let traced = if threads == 1 {
+                table.search_batch(keys)
+            } else {
+                table.search_batch_parallel(keys, threads)
+            };
+            assert_eq!(traced, per_key, "traced batch({threads}), deep={deep}");
+            assert_eq!(
+                batch_sink.snapshot(),
+                expected,
+                "sink after traced batch({threads}), deep={deep}"
+            );
+        }
+    }
+    table.clear_telemetry_sink();
+}
+
+/// Every answer of `search` must be one the model accepts.
+fn assert_agrees_with_model(table: &CaRamTable, model: &ReferenceModel, keys: &[SearchKey]) {
+    for key in keys {
+        let expected = model.expected(key);
+        let got = table.search(key).hit.map(|h| h.record.data);
+        assert!(
+            expected.admits(got),
+            "{key:?}: search gave {got:?}, model accepts {:?}",
+            expected.accepted
+        );
+    }
+}
+
+/// Ternary records go in unsorted, and only full-reach mode promises the
+/// max-care match for any insertion order: check the paths as built, then
+/// force full-reach scans and check them again, now against the model.
+fn assert_ternary_paths(mut table: CaRamTable, model: &ReferenceModel, keys: &[SearchKey]) {
+    assert_all_search_paths_agree(&mut table, keys);
+    table.force_full_scan();
+    assert_all_search_paths_agree(&mut table, keys);
+    assert_agrees_with_model(&table, model, keys);
 }
 
 proptest! {
@@ -106,8 +174,8 @@ proptest! {
         stored in prop::collection::vec(stored_key_strategy(), 1..80),
         probes in prop::collection::vec(probe_strategy(), 1..40),
     ) {
-        let table = build_table(true, OverflowPolicy::Probe { max_steps: 32 }, &stored);
-        assert_all_search_paths_agree(&table, &to_search_keys(&probes));
+        let (table, model) = build_table(true, OverflowPolicy::Probe { max_steps: 32 }, &stored);
+        assert_ternary_paths(table, &model, &to_search_keys(&probes));
     }
 
     #[test]
@@ -115,8 +183,11 @@ proptest! {
         stored in prop::collection::vec(stored_key_strategy(), 1..80),
         probes in prop::collection::vec(probe_strategy(), 1..40),
     ) {
-        let table = build_table(false, OverflowPolicy::Probe { max_steps: 32 }, &stored);
-        assert_all_search_paths_agree(&table, &to_search_keys(&probes));
+        let (mut table, model) =
+            build_table(false, OverflowPolicy::Probe { max_steps: 32 }, &stored);
+        let keys = to_search_keys(&probes);
+        assert_all_search_paths_agree(&mut table, &keys);
+        assert_agrees_with_model(&table, &model, &keys);
     }
 
     #[test]
@@ -124,8 +195,9 @@ proptest! {
         stored in prop::collection::vec(stored_key_strategy(), 1..120),
         probes in prop::collection::vec(probe_strategy(), 1..40),
     ) {
-        let table = build_table(true, OverflowPolicy::ParallelArea { capacity: 32 }, &stored);
-        assert_all_search_paths_agree(&table, &to_search_keys(&probes));
+        let (table, model) =
+            build_table(true, OverflowPolicy::ParallelArea { capacity: 32 }, &stored);
+        assert_ternary_paths(table, &model, &to_search_keys(&probes));
     }
 
     #[test]
@@ -133,7 +205,7 @@ proptest! {
         stored in prop::collection::vec(stored_key_strategy(), 1..80),
         pattern in probe_strategy(),
     ) {
-        let table = build_table(true, OverflowPolicy::Probe { max_steps: 32 }, &stored);
+        let (table, _) = build_table(true, OverflowPolicy::Probe { max_steps: 32 }, &stored);
         let pattern = &to_search_keys(&[pattern])[0];
 
         let serial_count = table.count_matching(pattern);
@@ -145,10 +217,10 @@ proptest! {
             prop_assert_eq!(par_select.1, serial_select.1);
         }
 
-        let mut serial_table = build_table(true, OverflowPolicy::Probe { max_steps: 32 }, &stored);
+        let (mut serial_table, _) = build_table(true, OverflowPolicy::Probe { max_steps: 32 }, &stored);
         let serial_receipt = serial_table.update_matching(pattern, |d| d.wrapping_mul(7) + 1);
         for threads in [2, 5] {
-            let mut par_table = build_table(true, OverflowPolicy::Probe { max_steps: 32 }, &stored);
+            let (mut par_table, _) = build_table(true, OverflowPolicy::Probe { max_steps: 32 }, &stored);
             let receipt = par_table.update_matching_parallel(
                 pattern,
                 |d| d.wrapping_mul(7) + 1,
