@@ -14,9 +14,10 @@
 //! the number of row fetches it performed so the cost model can price it
 //! (`rows × Tmem`, match work pipelined underneath).
 
+use crate::engine::shard;
 use crate::key::SearchKey;
 use crate::layout::Record;
-use crate::table::{effective_threads, CaRamTable};
+use crate::table::CaRamTable;
 use std::ops::Range;
 
 /// Outcome of a bulk operation: what it found/changed and what it cost.
@@ -31,25 +32,19 @@ pub struct BulkReceipt {
     pub rows_accessed: u64,
 }
 
-impl BulkReceipt {
-    /// Folds another receipt in — partitioned scans sum their shards.
-    fn absorb(&mut self, other: &BulkReceipt) {
-        self.records_visited += other.records_visited;
-        self.records_affected += other.records_affected;
-        self.rows_accessed += other.rows_accessed;
+/// Partitioned scans sum their shards' receipts.
+impl std::iter::Sum for BulkReceipt {
+    fn sum<I: Iterator<Item = Self>>(shards: I) -> Self {
+        shards.fold(Self::default(), |a, b| Self {
+            records_visited: a.records_visited + b.records_visited,
+            records_affected: a.records_affected + b.records_affected,
+            rows_accessed: a.rows_accessed + b.rows_accessed,
+        })
     }
 }
 
-/// Splits `0..buckets` into up to `threads` contiguous, disjoint ranges
-/// covering every bucket exactly once.
-fn bucket_partitions(buckets: u64, threads: usize) -> Vec<Range<u64>> {
-    let threads = effective_threads(threads, usize::try_from(buckets).unwrap_or(usize::MAX)) as u64;
-    let chunk = buckets.div_ceil(threads.max(1));
-    (0..threads)
-        .map(|i| (i * chunk).min(buckets)..((i + 1) * chunk).min(buckets))
-        .filter(|r| !r.is_empty())
-        .collect()
-}
+/// A pending data rewrite: `(bucket, slot, new_data)`.
+type Rewrite = (u64, u32, u64);
 
 impl CaRamTable {
     /// Scans one contiguous bucket range — the shard unit of the bulk ops.
@@ -66,6 +61,67 @@ impl CaRamTable {
             }
         }
         receipt
+    }
+
+    /// Runs `scan` over contiguous, disjoint bucket ranges covering the
+    /// table, on up to `threads` workers (`0` = one per available CPU) via
+    /// [`shard`], returning the per-range results in bucket order.
+    fn scan_shards<T, F>(&self, threads: usize, scan: F) -> Vec<T>
+    where
+        T: Send,
+        F: Fn(Range<u64>) -> T + Sync,
+    {
+        let buckets = usize::try_from(self.logical_buckets()).expect("bucket count fits usize");
+        shard(buckets, threads, |r| scan(r.start as u64..r.end as u64))
+    }
+
+    /// Collects the records of one bucket range satisfying `predicate`.
+    fn select_range<P>(&self, buckets: Range<u64>, mut predicate: P) -> (Vec<Record>, BulkReceipt)
+    where
+        P: FnMut(&Record) -> bool,
+    {
+        let mut out = Vec::new();
+        let mut receipt = self.scan_bucket_range(buckets, |_, _, record| {
+            if predicate(record) {
+                out.push(*record);
+            }
+        });
+        receipt.records_affected = out.len() as u64;
+        (out, receipt)
+    }
+
+    /// Evaluates `update` on every record of one bucket range whose key
+    /// matches `pattern`, returning the rewrites that change data; matches
+    /// are counted in `records_affected` whether or not their data changes.
+    fn update_range<F>(
+        &self,
+        buckets: Range<u64>,
+        pattern: &SearchKey,
+        mut update: F,
+    ) -> (Vec<Rewrite>, BulkReceipt)
+    where
+        F: FnMut(u64) -> u64,
+    {
+        let mut pending = Vec::new();
+        let mut affected = 0u64;
+        let mut receipt = self.scan_bucket_range(buckets, |bucket, slot, record| {
+            if record.key.matches(pattern) {
+                affected += 1;
+                let new_data = update(record.data);
+                if new_data != record.data {
+                    pending.push((bucket, slot, new_data));
+                }
+            }
+        });
+        receipt.records_affected = affected;
+        (pending, receipt)
+    }
+
+    /// Applies the rewrites through the array's single write port.
+    fn apply_rewrites(&mut self, pending: impl IntoIterator<Item = Rewrite>) {
+        for (bucket, slot, new_data) in pending {
+            self.rewrite_slot_data(bucket, slot, new_data);
+        }
     }
 
     /// Visits every stored record (main array, bucket-major, priority
@@ -92,24 +148,9 @@ impl CaRamTable {
     where
         F: Fn(u64, u32, &Record) + Sync,
     {
-        let parts = bucket_partitions(self.logical_buckets(), threads);
-        if parts.len() <= 1 {
-            return self.for_each_record(&visit);
-        }
-        let mut receipt = BulkReceipt::default();
-        std::thread::scope(|scope| {
-            let workers: Vec<_> = parts
-                .into_iter()
-                .map(|range| {
-                    let visit = &visit;
-                    scope.spawn(move || self.scan_bucket_range(range, visit))
-                })
-                .collect();
-            for worker in workers {
-                receipt.absorb(&worker.join().expect("bulk scan worker panicked"));
-            }
-        });
-        receipt
+        self.scan_shards(threads, |range| self.scan_bucket_range(range, &visit))
+            .into_iter()
+            .sum()
     }
 
     /// Counts the records whose key matches `pattern` — a masked
@@ -122,21 +163,12 @@ impl CaRamTable {
     /// Panics if the pattern width differs from the table's key width.
     #[must_use]
     pub fn count_matching(&self, pattern: &SearchKey) -> (u64, BulkReceipt) {
-        let mut count = 0u64;
-        let mut receipt = self.for_each_record(|_, _, record| {
-            // `records_affected` is accumulated below; the closure only
-            // counts via the captured variable.
-            if record.key.matches(pattern) {
-                count += 1;
-            }
-        });
-        receipt.records_affected = count;
-        (count, receipt)
+        self.count_matching_parallel(pattern, 1)
     }
 
     /// Parallel [`CaRamTable::count_matching`]: each worker counts its own
-    /// bucket shard; the shard counts and receipts are summed, so the
-    /// result is identical to the serial count.
+    /// bucket shard; the shard receipts are summed, so the result is
+    /// identical to the serial count.
     ///
     /// # Panics
     ///
@@ -147,52 +179,28 @@ impl CaRamTable {
         pattern: &SearchKey,
         threads: usize,
     ) -> (u64, BulkReceipt) {
-        let parts = bucket_partitions(self.logical_buckets(), threads);
-        if parts.len() <= 1 {
-            return self.count_matching(pattern);
-        }
-        let mut count = 0u64;
-        let mut receipt = BulkReceipt::default();
-        std::thread::scope(|scope| {
-            let workers: Vec<_> = parts
-                .into_iter()
-                .map(|range| {
-                    scope.spawn(move || {
-                        let mut shard_count = 0u64;
-                        let shard = self.scan_bucket_range(range, |_, _, record| {
-                            if record.key.matches(pattern) {
-                                shard_count += 1;
-                            }
-                        });
-                        (shard_count, shard)
-                    })
-                })
-                .collect();
-            for worker in workers {
-                let (shard_count, shard) = worker.join().expect("bulk count worker panicked");
-                count += shard_count;
-                receipt.absorb(&shard);
-            }
-        });
-        receipt.records_affected = count;
-        (count, receipt)
+        let receipt: BulkReceipt = self
+            .scan_shards(threads, |range| {
+                let mut count = 0u64;
+                let mut receipt = self.scan_bucket_range(range, |_, _, record| {
+                    count += u64::from(record.key.matches(pattern));
+                });
+                receipt.records_affected = count;
+                receipt
+            })
+            .into_iter()
+            .sum();
+        (receipt.records_affected, receipt)
     }
 
     /// Collects every record satisfying `predicate` (an arbitrary
     /// evaluation over key and data, beyond what hardware masking can
     /// express — the "more advanced functionality" of Sec. 3.1).
-    pub fn select<P>(&self, mut predicate: P) -> (Vec<Record>, BulkReceipt)
+    pub fn select<P>(&self, predicate: P) -> (Vec<Record>, BulkReceipt)
     where
         P: FnMut(&Record) -> bool,
     {
-        let mut out = Vec::new();
-        let mut receipt = self.for_each_record(|_, _, record| {
-            if predicate(record) {
-                out.push(*record);
-            }
-        });
-        receipt.records_affected = out.len() as u64;
-        (out, receipt)
+        self.select_range(0..self.logical_buckets(), predicate)
     }
 
     /// Parallel [`CaRamTable::select`]: workers collect per-shard vectors
@@ -206,36 +214,11 @@ impl CaRamTable {
     where
         P: Fn(&Record) -> bool + Sync,
     {
-        let parts = bucket_partitions(self.logical_buckets(), threads);
-        if parts.len() <= 1 {
-            return self.select(&predicate);
-        }
-        let mut out = Vec::new();
-        let mut receipt = BulkReceipt::default();
-        std::thread::scope(|scope| {
-            let workers: Vec<_> = parts
-                .into_iter()
-                .map(|range| {
-                    let predicate = &predicate;
-                    scope.spawn(move || {
-                        let mut shard_out = Vec::new();
-                        let shard = self.scan_bucket_range(range, |_, _, record| {
-                            if predicate(record) {
-                                shard_out.push(*record);
-                            }
-                        });
-                        (shard_out, shard)
-                    })
-                })
-                .collect();
-            for worker in workers {
-                let (shard_out, shard) = worker.join().expect("bulk select worker panicked");
-                out.extend(shard_out);
-                receipt.absorb(&shard);
-            }
-        });
-        receipt.records_affected = out.len() as u64;
-        (out, receipt)
+        let (records, receipts): (Vec<_>, Vec<_>) = self
+            .scan_shards(threads, |range| self.select_range(range, &predicate))
+            .into_iter()
+            .unzip();
+        (records.concat(), receipts.into_iter().sum())
     }
 
     /// Applies `update` to the data field of every record whose key matches
@@ -247,29 +230,12 @@ impl CaRamTable {
     ///
     /// Panics if the pattern width differs from the table's key width, or
     /// if `update` produces data wider than the layout's data field.
-    pub fn update_matching<F>(&mut self, pattern: &SearchKey, mut update: F) -> BulkReceipt
+    pub fn update_matching<F>(&mut self, pattern: &SearchKey, update: F) -> BulkReceipt
     where
         F: FnMut(u64) -> u64,
     {
-        let mut receipt = BulkReceipt {
-            records_visited: 0,
-            records_affected: 0,
-            rows_accessed: 0,
-        };
-        for bucket in 0..self.logical_buckets() {
-            receipt.rows_accessed += 1;
-            let entries = self.bucket_entries(bucket);
-            for (slot, record) in entries {
-                receipt.records_visited += 1;
-                if record.key.matches(pattern) {
-                    let new_data = update(record.data);
-                    if new_data != record.data {
-                        self.rewrite_slot_data(bucket, slot, new_data);
-                    }
-                    receipt.records_affected += 1;
-                }
-            }
-        }
+        let (pending, receipt) = self.update_range(0..self.logical_buckets(), pattern, update);
+        self.apply_rewrites(pending);
         receipt
     }
 
@@ -292,45 +258,12 @@ impl CaRamTable {
     where
         F: Fn(u64) -> u64 + Sync,
     {
-        let parts = bucket_partitions(self.logical_buckets(), threads);
-        if parts.len() <= 1 {
-            return self.update_matching(pattern, &update);
-        }
-        let mut pending: Vec<(u64, u32, u64)> = Vec::new();
-        let mut receipt = BulkReceipt::default();
-        std::thread::scope(|scope| {
-            let table = &*self;
-            let workers: Vec<_> = parts
-                .into_iter()
-                .map(|range| {
-                    let update = &update;
-                    scope.spawn(move || {
-                        let mut shard_pending = Vec::new();
-                        let mut affected = 0u64;
-                        let mut shard = table.scan_bucket_range(range, |bucket, slot, record| {
-                            if record.key.matches(pattern) {
-                                affected += 1;
-                                let new_data = update(record.data);
-                                if new_data != record.data {
-                                    shard_pending.push((bucket, slot, new_data));
-                                }
-                            }
-                        });
-                        shard.records_affected = affected;
-                        (shard_pending, shard)
-                    })
-                })
-                .collect();
-            for worker in workers {
-                let (shard_pending, shard) = worker.join().expect("bulk update worker panicked");
-                pending.extend(shard_pending);
-                receipt.absorb(&shard);
-            }
-        });
-        for (bucket, slot, new_data) in pending {
-            self.rewrite_slot_data(bucket, slot, new_data);
-        }
-        receipt
+        let (pending, receipts): (Vec<_>, Vec<_>) = self
+            .scan_shards(threads, |range| self.update_range(range, pattern, &update))
+            .into_iter()
+            .unzip();
+        self.apply_rewrites(pending.into_iter().flatten());
+        receipts.into_iter().sum()
     }
 }
 

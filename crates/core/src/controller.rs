@@ -12,7 +12,7 @@
 use std::collections::VecDeque;
 
 use crate::error::{CaRamError, Result};
-use crate::telemetry::trace::TelemetrySink;
+use crate::telemetry::trace::{NullSink, TelemetrySink};
 
 /// Configuration of the queue/controller simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -115,7 +115,36 @@ pub fn simulate<I>(config: QueueModelConfig, requests: I) -> Result<ThroughputRe
 where
     I: IntoIterator<Item = u32>,
 {
-    simulate_impl(config, requests, None)
+    simulate_with_sink(config, requests, &NullSink)
+}
+
+/// One dispatch cycle, shared by both simulators: every queued request
+/// whose slice is idle at `cycle` occupies it for `nmem` cycles and leaves
+/// the queue — only the queue head (and then each new head) under
+/// head-of-line blocking, any request otherwise. Each dispatch reports its
+/// wait (enqueue → dispatch) to `sink` and hands its enqueue cycle to
+/// `dispatched`.
+fn dispatch<S: TelemetrySink + ?Sized>(
+    config: &QueueModelConfig,
+    queue: &mut VecDeque<(u64, u32)>,
+    busy_until: &mut [u64],
+    cycle: u64,
+    sink: &S,
+    mut dispatched: impl FnMut(u64),
+) {
+    let mut i = 0;
+    while let Some(&(t0, slice)) = queue.get(i) {
+        if busy_until[slice as usize] <= cycle {
+            busy_until[slice as usize] = cycle + u64::from(config.nmem);
+            dispatched(t0);
+            sink.queue_wait(cycle - t0);
+            queue.remove(i);
+        } else if config.head_of_line {
+            break;
+        } else {
+            i += 1;
+        }
+    }
 }
 
 /// As [`simulate`], additionally reporting per-cycle queue depth and
@@ -125,25 +154,19 @@ where
 /// # Errors
 ///
 /// As [`simulate`].
-pub fn simulate_with_sink<I>(
+///
+/// # Panics
+///
+/// Panics if the simulation runs past 10^9 cycles without draining — a
+/// safety valve against configuration mistakes in callers.
+pub fn simulate_with_sink<I, S>(
     config: QueueModelConfig,
     requests: I,
-    sink: &dyn TelemetrySink,
+    sink: &S,
 ) -> Result<ThroughputReport>
 where
     I: IntoIterator<Item = u32>,
-{
-    simulate_impl(config, requests, Some(sink))
-}
-
-#[allow(clippy::too_many_lines)]
-fn simulate_impl<I>(
-    config: QueueModelConfig,
-    requests: I,
-    sink: Option<&dyn TelemetrySink>,
-) -> Result<ThroughputReport>
-where
-    I: IntoIterator<Item = u32>,
+    S: TelemetrySink + ?Sized,
 {
     config.validate()?;
 
@@ -205,40 +228,11 @@ where
             }
         }
         peak_queue_depth = peak_queue_depth.max(queue.len());
-        if let Some(sink) = sink {
-            sink.queue_depth(queue.len() as u64);
-        }
+        sink.queue_depth(queue.len() as u64);
 
-        // Dispatch to idle slices.
-        if config.head_of_line {
-            while let Some(&(t0, slice)) = queue.front() {
-                if busy_until[slice as usize] <= cycle {
-                    busy_until[slice as usize] = cycle + u64::from(config.nmem);
-                    completed += 1;
-                    if let Some(sink) = sink {
-                        sink.queue_wait(cycle - t0);
-                    }
-                    queue.pop_front();
-                } else {
-                    break;
-                }
-            }
-        } else {
-            let mut i = 0;
-            while i < queue.len() {
-                let (t0, slice) = queue[i];
-                if busy_until[slice as usize] <= cycle {
-                    busy_until[slice as usize] = cycle + u64::from(config.nmem);
-                    completed += 1;
-                    if let Some(sink) = sink {
-                        sink.queue_wait(cycle - t0);
-                    }
-                    queue.remove(i);
-                } else {
-                    i += 1;
-                }
-            }
-        }
+        dispatch(&config, &mut queue, &mut busy_until, cycle, sink, |_| {
+            completed += 1;
+        });
         cycle += 1;
         // Safety valve against configuration mistakes in callers.
         assert!(cycle < 1_000_000_000, "simulation did not converge");
@@ -280,50 +274,15 @@ pub struct LatencyReport {
 /// Returns [`CaRamError::BadConfig`] if the configuration fails
 /// [`QueueModelConfig::validate`], the interarrival rational has a zero
 /// numerator or denominator, or a request targets a slice out of range.
+///
+/// # Panics
+///
+/// As [`simulate_with_sink`].
 pub fn simulate_latency<I>(
     config: QueueModelConfig,
     interarrival_num: u64,
     interarrival_den: u64,
     requests: I,
-) -> Result<LatencyReport>
-where
-    I: IntoIterator<Item = u32>,
-{
-    simulate_latency_impl(config, interarrival_num, interarrival_den, requests, None)
-}
-
-/// As [`simulate_latency`], additionally reporting per-cycle queue depth
-/// and per-request wait cycles (enqueue → dispatch, excluding service) to
-/// a telemetry sink.
-///
-/// # Errors
-///
-/// As [`simulate_latency`].
-pub fn simulate_latency_with_sink<I>(
-    config: QueueModelConfig,
-    interarrival_num: u64,
-    interarrival_den: u64,
-    requests: I,
-    sink: &dyn TelemetrySink,
-) -> Result<LatencyReport>
-where
-    I: IntoIterator<Item = u32>,
-{
-    simulate_latency_impl(
-        config,
-        interarrival_num,
-        interarrival_den,
-        requests,
-        Some(sink),
-    )
-}
-
-fn simulate_latency_impl<I>(
-    config: QueueModelConfig,
-    interarrival_num: u64,
-    interarrival_den: u64,
-    requests: I,
-    sink: Option<&dyn TelemetrySink>,
 ) -> Result<LatencyReport>
 where
     I: IntoIterator<Item = u32>,
@@ -362,39 +321,10 @@ where
             arrived += 1;
             next_arrival += interarrival_num;
         }
-        if let Some(sink) = sink {
-            sink.queue_depth(queue.len() as u64);
-        }
-        // Dispatch (out-of-order unless head-of-line).
-        if config.head_of_line {
-            while let Some(&(t0, slice)) = queue.front() {
-                if busy_until[slice as usize] <= cycle {
-                    busy_until[slice as usize] = cycle + u64::from(config.nmem);
-                    latencies.push(cycle + u64::from(config.nmem) + MATCH_CYCLES - t0);
-                    if let Some(sink) = sink {
-                        sink.queue_wait(cycle - t0);
-                    }
-                    queue.pop_front();
-                } else {
-                    break;
-                }
-            }
-        } else {
-            let mut i = 0;
-            while i < queue.len() {
-                let (t0, slice) = queue[i];
-                if busy_until[slice as usize] <= cycle {
-                    busy_until[slice as usize] = cycle + u64::from(config.nmem);
-                    latencies.push(cycle + u64::from(config.nmem) + MATCH_CYCLES - t0);
-                    if let Some(sink) = sink {
-                        sink.queue_wait(cycle - t0);
-                    }
-                    queue.remove(i);
-                } else {
-                    i += 1;
-                }
-            }
-        }
+        // Latency: queue wait, `nmem` cycles of slice access, then the
+        // pipelined match.
+        let done = |t0| latencies.push(cycle + u64::from(config.nmem) + MATCH_CYCLES - t0);
+        dispatch(&config, &mut queue, &mut busy_until, cycle, &NullSink, done);
         cycle += 1;
         assert!(cycle < 1_000_000_000, "simulation did not converge");
     }

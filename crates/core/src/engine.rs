@@ -7,22 +7,21 @@
 //! backend through one code path.
 //!
 //! The trait is object-safe: the required surface is `search` / `insert` /
-//! `delete` / `key_bits` / `occupancy`, and every backend inherits the
-//! batched serial and sharded parallel pipelines as provided methods. The
-//! parallel default accumulates per-shard [`SearchStats`] locally and folds
-//! them through [`AtomicSearchStats`], so the merged totals are bit-equal to
-//! what a serial pass over the same keys would record.
+//! `delete` / `key_bits` / `occupancy`. The one batch hook a backend may
+//! override is [`SearchEngine::search_batch_into`]; `search_batch` and the
+//! sharded `search_batch_parallel` are provided methods built on it, and
+//! every host-parallel loop in the crate splits its work with [`shard`].
 //!
 //! Implementations for concrete backends live next to the backends:
 //! [`crate::table::CaRamTable`] and the [`crate::subsystem::CaRamSubsystem`]
 //! adapter here in `ca-ram-core`, the CAM baselines in `ca-ram-cam`, and the
 //! software-index bridge in `ca-ram-softsearch`.
 
+use std::ops::Range;
+
 use crate::error::Result;
 use crate::key::{SearchKey, TernaryKey};
 use crate::layout::Record;
-use crate::stats::{AtomicSearchStats, SearchStats};
-use crate::table::effective_threads;
 
 /// A matched record, in backend-neutral shape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,14 +82,15 @@ impl EngineReport {
 ///
 /// The trait is object-safe — benches and tests drive backends through
 /// `&dyn SearchEngine`. The `Sync` supertrait is what lets the provided
-/// [`SearchEngine::search_batch_parallel_stats`] shard one `&self` across
-/// scoped threads; `Send` is what lets a serving layer hand whole engines
-/// to worker threads (every in-tree backend is plain owned data).
+/// [`SearchEngine::search_batch_parallel`] shard one `&self` across scoped
+/// threads; `Send` is what lets a serving layer hand whole engines to
+/// worker threads (every in-tree backend is plain owned data).
 ///
 /// Backends with a faster concrete pipeline (e.g. `CaRamTable`'s
 /// allocation-free scratch path) keep their inherent methods and override
-/// the provided ones to delegate, so driving them through the trait costs
-/// one virtual dispatch per call and nothing else.
+/// [`SearchEngine::search_batch_into`] to delegate; both provided batch
+/// methods then reach that pipeline, so driving a backend through the
+/// trait costs one virtual dispatch per call and nothing else.
 pub trait SearchEngine: Send + Sync {
     /// A short human-readable backend name for reports.
     fn name(&self) -> &str;
@@ -154,73 +154,77 @@ pub trait SearchEngine: Send + Sync {
         Ok(())
     }
 
-    /// Looks up a batch of keys serially.
-    ///
-    /// Provided method; backends with an allocation-free inherent batch path
-    /// should override it to delegate.
-    fn search_batch(&self, keys: &[SearchKey]) -> Vec<EngineOutcome> {
-        keys.iter().map(|k| self.search(k)).collect()
-    }
-
     /// Looks up a batch of keys serially into a caller-owned buffer,
     /// clearing it first — the serving layer's hot path, where the buffer
     /// (and any backend probe scratch) is reused across drains so the
     /// steady state allocates nothing.
     ///
-    /// Provided method; backends with reusable probe scratch should
-    /// override it alongside [`SearchEngine::search_batch`].
+    /// The one batch hook: backends with reusable probe scratch or a
+    /// batched round trip override this, and [`SearchEngine::search_batch`]
+    /// and [`SearchEngine::search_batch_parallel`] inherit it.
     fn search_batch_into(&self, keys: &[SearchKey], out: &mut Vec<EngineOutcome>) {
         out.clear();
         out.extend(keys.iter().map(|k| self.search(k)));
     }
 
+    /// Looks up a batch of keys serially, in input order.
+    fn search_batch(&self, keys: &[SearchKey]) -> Vec<EngineOutcome> {
+        let mut out = Vec::with_capacity(keys.len());
+        self.search_batch_into(keys, &mut out);
+        out
+    }
+
     /// Looks up a batch of keys across `threads` worker threads
-    /// (0 = all available cores), discarding statistics.
+    /// (0 = all available cores): [`shard`] splits `keys` into contiguous
+    /// ranges, each runs [`SearchEngine::search_batch`], and the outcomes
+    /// come back in input order.
     fn search_batch_parallel(&self, keys: &[SearchKey], threads: usize) -> Vec<EngineOutcome> {
-        self.search_batch_parallel_stats(keys, threads).0
+        shard(keys.len(), threads, |range| self.search_batch(&keys[range])).concat()
     }
+}
 
-    /// Looks up a batch of keys across `threads` worker threads
-    /// (0 = all available cores) and returns the outcomes in input order
-    /// plus aggregated search statistics.
-    ///
-    /// The statistics are *shard-exact*: each worker accumulates a local
-    /// [`SearchStats`] and folds it into one [`AtomicSearchStats`], so the
-    /// totals equal what a serial pass over `keys` would record.
-    fn search_batch_parallel_stats(
-        &self,
-        keys: &[SearchKey],
-        threads: usize,
-    ) -> (Vec<EngineOutcome>, SearchStats) {
-        let threads = effective_threads(threads, keys.len());
-        if threads <= 1 {
-            let outcomes = self.search_batch(keys);
-            let mut stats = SearchStats::new();
-            for o in &outcomes {
-                stats.record(o.hit.is_some(), o.memory_accesses);
-            }
-            return (outcomes, stats);
-        }
-
-        let mut outcomes = vec![EngineOutcome::miss(0); keys.len()];
-        let chunk = keys.len().div_ceil(threads);
-        let shared = AtomicSearchStats::new();
-        std::thread::scope(|scope| {
-            for (key_chunk, out_chunk) in keys.chunks(chunk).zip(outcomes.chunks_mut(chunk)) {
-                let shared = &shared;
-                scope.spawn(move || {
-                    let mut shard = SearchStats::new();
-                    for (key, out) in key_chunk.iter().zip(out_chunk.iter_mut()) {
-                        let o = self.search(key);
-                        shard.record(o.hit.is_some(), o.memory_accesses);
-                        *out = o;
-                    }
-                    shared.merge(&shard);
-                });
-            }
-        });
-        (outcomes, shared.snapshot())
+/// Splits `0..n` into up to `threads` contiguous ranges (`0` = one per
+/// available CPU; never more ranges than items, never fewer than one),
+/// runs `work` on each on its own scoped thread, and returns the results
+/// in range order. A single range runs inline on the calling thread.
+///
+/// The one host-parallel loop of the crate: parallel batch search shards
+/// key ranges through it, the bulk scans shard bucket ranges.
+///
+/// # Panics
+///
+/// Re-raises the panic of any worker whose `work` panicked.
+pub fn shard<T, F>(n: usize, threads: usize, work: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(Range<usize>) -> T + Sync,
+{
+    let threads = if threads == 0 {
+        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+    } else {
+        threads
     }
+    .clamp(1, n.max(1));
+    if threads == 1 {
+        return vec![work(0..n)];
+    }
+    let chunk = n.div_ceil(threads);
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..n)
+            .step_by(chunk)
+            .map(|start| {
+                let work = &work;
+                scope.spawn(move || work(start..(start + chunk).min(n)))
+            })
+            .collect();
+        workers
+            .into_iter()
+            .map(|w| {
+                w.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect()
+    })
 }
 
 pub mod conformance;
@@ -242,6 +246,16 @@ mod tests {
             capacity: Some(0),
         };
         assert_eq!(zero_cap.load_factor(), None);
+    }
+
+    #[test]
+    fn shard_resolves_zero_and_clamps() {
+        let ranges = |n, threads| shard(n, threads, |r| r);
+        assert!(!ranges(100, 0).is_empty());
+        assert_eq!(ranges(3, 8), vec![0..1, 1..2, 2..3]);
+        assert_eq!(ranges(100, 2), vec![0..50, 50..100]);
+        assert_eq!(ranges(10, 4), vec![0..3, 3..6, 6..9, 9..10]);
+        assert_eq!(ranges(0, 4), vec![0..0]);
     }
 
     #[test]

@@ -11,7 +11,6 @@
 use super::{EngineOutcome, SearchEngine};
 use crate::key::{SearchKey, TernaryKey};
 use crate::layout::Record;
-use crate::stats::SearchStats;
 
 /// One record plus a search key expected to find it.
 ///
@@ -47,42 +46,39 @@ impl Probe {
     }
 }
 
-/// Checks batch ≡ serial ≡ parallel bit-equivalence and stats-snapshot
-/// consistency over an already-loaded engine.
+/// Checks batch ≡ serial ≡ parallel bit-equivalence over an already-loaded
+/// engine.
 ///
-/// Serial per-key `search` results are the reference; `search_batch` and
-/// `search_batch_parallel_stats` (at several thread counts, including the
-/// serial-fallback count 1) must reproduce them exactly, and the parallel
-/// statistics must equal a serial accumulation over the same outcomes.
+/// Serial per-key `search` results are the reference. `search_batch_into`
+/// — the serving layer's only engine call — must reproduce them into a
+/// reused buffer that still holds stale outcomes, and `search_batch` and
+/// `search_batch_parallel` (at several thread counts, including the
+/// serial count 1) must reproduce them exactly.
 ///
 /// # Panics
 ///
-/// On any divergence between the three paths or their statistics.
+/// On any divergence between the paths.
 pub fn check_batch_equivalence(engine: &dyn SearchEngine, keys: &[SearchKey]) {
     let name = engine.name().to_owned();
     let serial: Vec<EngineOutcome> = keys.iter().map(|k| engine.search(k)).collect();
 
+    // A stale buffer one longer than the batch: appending without
+    // clearing, or overwriting without truncating, both show.
+    let mut reused = vec![EngineOutcome::miss(u32::MAX); keys.len() + 1];
+    engine.search_batch_into(keys, &mut reused);
+    assert_eq!(
+        serial, reused,
+        "{name}: search_batch_into diverged from serial"
+    );
+
     let batch = engine.search_batch(keys);
     assert_eq!(serial, batch, "{name}: search_batch diverged from serial");
 
-    let mut reference = SearchStats::new();
-    for o in &serial {
-        reference.record(o.hit.is_some(), o.memory_accesses);
-    }
     for threads in [0, 1, 3] {
-        let (parallel, stats) = engine.search_batch_parallel_stats(keys, threads);
+        let parallel = engine.search_batch_parallel(keys, threads);
         assert_eq!(
             serial, parallel,
             "{name}: search_batch_parallel(threads={threads}) diverged from serial"
-        );
-        assert_eq!(
-            reference, stats,
-            "{name}: parallel stats (threads={threads}) diverged from serial accumulation"
-        );
-        let replay = engine.search_batch_parallel(keys, threads);
-        assert_eq!(
-            serial, replay,
-            "{name}: search_batch_parallel(threads={threads}) not reproducible"
         );
     }
 }
@@ -138,8 +134,7 @@ pub fn check_loaded(engine: &dyn SearchEngine, probes: &[Probe], misses: &[Searc
 }
 
 /// Full conformance for a mutable engine: insert→search round-trip, miss
-/// behavior, batch/parallel bit-equivalence, stats consistency, and
-/// delete→miss.
+/// behavior, batch/parallel bit-equivalence, and delete→miss.
 ///
 /// `engine` must start empty. Probes must be non-overlapping (no probe key
 /// may match another probe's record) so the expected hit for each is

@@ -91,8 +91,8 @@ pub use alloc::{AllocationId, SlicePool, SliceRoles};
 pub use bulk::BulkReceipt;
 pub use config_regs::{ControlRegister, ReconfigurableSlice};
 pub use controller::{
-    simulate, simulate_latency, simulate_latency_with_sink, simulate_with_sink, LatencyReport,
-    QueueModelConfig, ThroughputReport,
+    simulate, simulate_latency, simulate_with_sink, LatencyReport, QueueModelConfig,
+    ThroughputReport,
 };
 pub use engine::{EngineHit, EngineOutcome, EngineReport, SearchEngine};
 pub use error::{CaRamError, Result};

@@ -129,9 +129,9 @@ impl PlacementStats {
     }
 }
 
-/// Aggregate statistics over a stream of searches — the unit the batched
-/// pipeline accumulates per worker shard and merges afterwards, so the
-/// parallel path reports exactly what the serial path would.
+/// Aggregate statistics over a stream of searches: searches, hits, and
+/// memory accesses — the paper's AMAL numerator. Callers fold them from
+/// the search outcomes they already hold.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchStats {
     /// Searches performed.
@@ -156,8 +156,8 @@ impl SearchStats {
         self.memory_accesses += u64::from(memory_accesses);
     }
 
-    /// Folds another shard's statistics into this one. Merging is
-    /// order-independent: all fields are sums.
+    /// Folds other statistics into these. Merging is order-independent:
+    /// all fields are sums.
     pub fn merge(&mut self, other: &SearchStats) {
         self.searches += other.searches;
         self.hits += other.hits;
@@ -191,16 +191,14 @@ impl SearchStats {
     }
 }
 
-/// Thread-safe search counters: the shared instrumentation cell behind
-/// every [`crate::engine::SearchEngine`] and the subsystem's per-database
-/// activity counters.
+/// Thread-safe search counters: the cell behind the subsystem's
+/// per-database activity counters, which its `&self` search paths update.
 ///
 /// Recording is a relaxed atomic add (cheap enough for the hot path);
 /// [`AtomicSearchStats::snapshot`] materialises a plain [`SearchStats`] for
-/// reporting. Serial and parallel search paths use the same cell — a
-/// parallel shard accumulates a local [`SearchStats`] and folds it in once
-/// via [`AtomicSearchStats::merge`], so the totals are exactly what the
-/// serial path would have recorded.
+/// reporting. A batch folds its outcomes into a local [`SearchStats`] and
+/// adds it once via [`AtomicSearchStats::merge`], so the totals are exactly
+/// what per-key recording would have produced.
 ///
 /// Counter reads are independent relaxed loads: a snapshot taken *while*
 /// writers are recording may mix counts from different moments (each total
@@ -228,13 +226,14 @@ impl AtomicSearchStats {
             .fetch_add(u64::from(memory_accesses), Relaxed);
     }
 
-    /// Folds a shard's locally accumulated statistics into the cell.
-    pub fn merge(&self, shard: &SearchStats) {
+    /// Folds locally accumulated statistics (e.g. one batch's) into the
+    /// cell.
+    pub fn merge(&self, local: &SearchStats) {
         use core::sync::atomic::Ordering::Relaxed;
-        self.searches.fetch_add(shard.searches, Relaxed);
-        self.hits.fetch_add(shard.hits, Relaxed);
+        self.searches.fetch_add(local.searches, Relaxed);
+        self.hits.fetch_add(local.hits, Relaxed);
         self.memory_accesses
-            .fetch_add(shard.memory_accesses, Relaxed);
+            .fetch_add(local.memory_accesses, Relaxed);
     }
 
     /// A plain-value copy of the current counters.
@@ -254,23 +253,6 @@ impl AtomicSearchStats {
         self.searches.store(0, Relaxed);
         self.hits.store(0, Relaxed);
         self.memory_accesses.store(0, Relaxed);
-    }
-}
-
-impl Clone for AtomicSearchStats {
-    fn clone(&self) -> Self {
-        let s = self.snapshot();
-        let out = Self::new();
-        out.merge(&s);
-        out
-    }
-}
-
-impl From<SearchStats> for AtomicSearchStats {
-    fn from(s: SearchStats) -> Self {
-        let out = Self::new();
-        out.merge(&s);
-        out
     }
 }
 

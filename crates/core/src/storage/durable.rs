@@ -36,7 +36,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use super::snapshot::{self, Snapshot};
 use super::wal::{self, SyncPolicy, WalRecord, WalWriter};
-use super::{corrupt, crc32, dur_err, io_err, put_u32, TableSpec, FORMAT_VERSION};
+use super::{corrupt, crc32, dur_err, io_err, put_u32, replace_file, TableSpec, FORMAT_VERSION};
 use crate::engine::{EngineOutcome, EngineReport, SearchEngine};
 use crate::error::{CaRamError, DurabilityErrorKind, Result};
 use crate::key::{SearchKey, TernaryKey};
@@ -175,15 +175,7 @@ impl DurableTable {
         let table = Self::build_table(dir, spec, &opts)?;
         // Write the superblock atomically and durably before the first
         // WAL segment exists, so every later open sees a complete root.
-        let tmp = dir.join(format!("{SUPERBLOCK_FILE}.tmp"));
-        std::fs::write(&tmp, encode_superblock(spec)).map_err(|e| io_err("write", &tmp, &e))?;
-        std::fs::File::open(&tmp)
-            .and_then(|f| f.sync_all())
-            .map_err(|e| io_err("sync", &tmp, &e))?;
-        std::fs::rename(&tmp, &sb_path).map_err(|e| io_err("rename superblock into", dir, &e))?;
-        if let Ok(d) = std::fs::File::open(dir) {
-            let _ = d.sync_all();
-        }
+        replace_file(dir, SUPERBLOCK_FILE, &encode_superblock(spec))?;
         let wal = WalWriter::create(dir, 0, opts.segment_limit, opts.sync)?;
         let mirror = ReferenceModel::new(spec.config.layout.key_bits());
         Ok(Self {
@@ -624,10 +616,6 @@ impl SearchEngine for DurableTable {
         SearchEngine::occupancy(&self.table)
     }
 
-    fn search_batch(&self, keys: &[SearchKey]) -> Vec<EngineOutcome> {
-        SearchEngine::search_batch(&self.table, keys)
-    }
-
     fn search_batch_into(&self, keys: &[SearchKey], out: &mut Vec<EngineOutcome>) {
         SearchEngine::search_batch_into(&self.table, keys, out);
     }
@@ -722,7 +710,6 @@ impl Drop for TempDurableTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index::IndexGenerator;
     use crate::layout::RecordLayout;
     use crate::probe::ProbePolicy;
     use crate::storage::IndexSpec;

@@ -28,6 +28,8 @@
 //! crash could tear carries a CRC-32 so recovery can tell "torn tail"
 //! (expected, tolerated) from "corruption" (a typed error, never a panic).
 
+use std::fs::File;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use crate::error::{CaRamError, DurabilityErrorKind, Result};
@@ -129,6 +131,32 @@ pub(crate) fn io_err(what: &str, path: &Path, e: &std::io::Error) -> CaRamError 
 
 pub(crate) fn corrupt(detail: impl Into<String>) -> CaRamError {
     dur_err(DurabilityErrorKind::Corrupt, detail)
+}
+
+/// Atomically and durably replaces `dir/name` with `bytes`, returning the
+/// final path: write `name.tmp`, `fsync` it, rename it over `name`, then
+/// `fsync` `dir` so the rename itself survives. A crash leaves either the
+/// old file or the new one, never a torn one. Directory fsync is a
+/// Linux-ism; where it fails the rename is still atomic, so that error is
+/// ignored.
+///
+/// # Errors
+///
+/// [`DurabilityErrorKind::Io`] if creating, writing, syncing, or renaming
+/// the temporary file fails.
+pub(crate) fn replace_file(dir: &Path, name: &str, bytes: &[u8]) -> Result<PathBuf> {
+    let tmp = dir.join(format!("{name}.tmp"));
+    let path = dir.join(name);
+    {
+        let mut f = File::create(&tmp).map_err(|e| io_err("create", &tmp, &e))?;
+        f.write_all(bytes).map_err(|e| io_err("write", &tmp, &e))?;
+        f.sync_all().map_err(|e| io_err("sync", &tmp, &e))?;
+    }
+    std::fs::rename(&tmp, &path).map_err(|e| io_err(&format!("rename {name} into"), dir, &e))?;
+    if let Ok(d) = File::open(dir) {
+        let _ = d.sync_all();
+    }
+    Ok(path)
 }
 
 // ---------------------------------------------------------------------------

@@ -9,17 +9,16 @@
 //! file is named `snap-<next_segment:08>.img`; WAL segments with index ≥
 //! `next_segment` apply on top of it, older segments are garbage.
 //!
-//! Write protocol (the fsync points, see DESIGN.md sec 16): write to
-//! `*.tmp`, `fsync` the file, rename over the final name, then `fsync`
-//! the directory so the rename itself survives.
+//! Write protocol (the fsync points, see DESIGN.md sec 16), shared with
+//! the table superblock through `storage::replace_file`: write to `*.tmp`,
+//! `fsync` the file, rename over the final name, then `fsync` the
+//! directory so the rename itself survives.
 
-use std::fs::File;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use super::{
-    corrupt, crc32, dur_err, io_err, put_u128, put_u32, put_u64, ByteReader, TableSpec,
-    FORMAT_VERSION,
+    corrupt, crc32, dur_err, io_err, put_u128, put_u32, put_u64, replace_file, ByteReader,
+    TableSpec, FORMAT_VERSION,
 };
 use crate::error::{DurabilityErrorKind, Result};
 use crate::key::TernaryKey;
@@ -163,30 +162,15 @@ impl Snapshot {
         })
     }
 
-    /// Writes the snapshot into `dir` atomically (tmp + fsync + rename +
-    /// directory fsync) and returns the final path.
+    /// Writes the snapshot into `dir` atomically through
+    /// `storage::replace_file` (tmp + fsync + rename + directory fsync)
+    /// and returns the final path.
     ///
     /// # Errors
     ///
     /// [`DurabilityErrorKind::Io`] on any file operation failure.
     pub fn write(&self, dir: &Path) -> Result<PathBuf> {
-        let final_path = dir.join(snapshot_file_name(self.next_segment));
-        let tmp_path = dir.join(format!("{}.tmp", snapshot_file_name(self.next_segment)));
-        let bytes = self.encode();
-        {
-            let mut f = File::create(&tmp_path).map_err(|e| io_err("create", &tmp_path, &e))?;
-            f.write_all(&bytes)
-                .map_err(|e| io_err("write", &tmp_path, &e))?;
-            f.sync_all().map_err(|e| io_err("sync", &tmp_path, &e))?;
-        }
-        std::fs::rename(&tmp_path, &final_path)
-            .map_err(|e| io_err("rename snapshot into", dir, &e))?;
-        // Make the rename itself durable. Directory fsync is a Linux-ism;
-        // where it fails the rename is still atomic, so ignore errors.
-        if let Ok(d) = File::open(dir) {
-            let _ = d.sync_all();
-        }
-        Ok(final_path)
+        replace_file(dir, &snapshot_file_name(self.next_segment), &self.encode())
     }
 
     /// Reads and validates the snapshot at `path`.

@@ -253,31 +253,15 @@ impl CaRamSubsystem {
     /// Drains request queues, executing each lookup and enqueueing its
     /// result — the input controller's job. Returns the number of lookups
     /// performed. Each database's pending requests are executed as one
-    /// batch through [`CaRamTable::search_batch`], so the home-bucket
-    /// scratch buffer is reused across the whole queue.
+    /// batch, so the home-bucket scratch buffer is reused across the whole
+    /// queue.
     pub fn pump(&mut self) -> usize {
-        let mut done = 0;
-        let mut keys: Vec<SearchKey> = Vec::new();
-        for db in &mut self.databases {
-            if let Some(sink) = db.table.telemetry_sink() {
-                sink.queue_depth(db.requests.len() as u64);
-            }
-            keys.clear();
-            keys.extend(db.requests.drain(..));
-            let mut batch = SearchStats::new();
-            for outcome in db.table.search_batch(&keys) {
-                batch.record(outcome.hit.is_some(), outcome.memory_accesses);
-                db.results.push_back(PortResult { outcome });
-                done += 1;
-            }
-            db.counters.merge(&batch);
-        }
-        done
+        self.pump_parallel(1)
     }
 
     /// As [`CaRamSubsystem::pump`], but each database's batch is sharded
     /// across `threads` worker threads (`0` = one per available CPU) via
-    /// [`CaRamTable::search_batch_parallel_stats`]. Results are enqueued in
+    /// [`CaRamTable::search_batch_parallel`]. Results are enqueued in
     /// request order, and the counters end up exactly as after a serial
     /// pump.
     pub fn pump_parallel(&mut self, threads: usize) -> usize {
@@ -289,12 +273,13 @@ impl CaRamSubsystem {
             }
             keys.clear();
             keys.extend(db.requests.drain(..));
-            let (outcomes, stats) = db.table.search_batch_parallel_stats(&keys, threads);
-            db.counters.merge(&stats);
-            for outcome in outcomes {
+            let mut batch = SearchStats::new();
+            for outcome in db.table.search_batch_parallel(&keys, threads) {
+                batch.record(outcome.hit.is_some(), outcome.memory_accesses);
                 db.results.push_back(PortResult { outcome });
-                done += 1;
             }
+            db.counters.merge(&batch);
+            done += keys.len();
         }
         done
     }
@@ -406,10 +391,10 @@ impl SearchEngine for DatabaseEngine<'_> {
 
     // Deletion funnels into `CaRamTable::delete`, which flips the table's
     // `full_scan` degradation flag; every subsystem search entry point —
-    // `search`/`peek`, `pump[_parallel]`, and this adapter's
-    // `search[_batch[_parallel_stats]]` — reads that flag inside the
-    // table's one probe walk, so post-delete LPM lookups never shortcut the
-    // bucket scan regardless of which port they arrive on.
+    // `search`/`peek`, `pump[_parallel]`, and this adapter's `search` and
+    // `search_batch_into` (behind every batch method) — reads that flag
+    // inside the table's one probe walk, so post-delete LPM lookups never
+    // shortcut the bucket scan regardless of which port they arrive on.
     fn delete(&mut self, key: &crate::key::TernaryKey) -> u32 {
         self.table.delete(key)
     }
@@ -418,24 +403,15 @@ impl SearchEngine for DatabaseEngine<'_> {
         SearchEngine::occupancy(&*self.table)
     }
 
-    fn search_batch(&self, keys: &[SearchKey]) -> Vec<EngineOutcome> {
-        let outcomes = self.table.search_batch(keys);
+    /// The table's pipelined batch, counted once per search: every batch
+    /// method of the trait (serial or sharded) lands here.
+    fn search_batch_into(&self, keys: &[SearchKey], out: &mut Vec<EngineOutcome>) {
+        SearchEngine::search_batch_into(&*self.table, keys, out);
         let mut batch = SearchStats::new();
-        for o in &outcomes {
+        for o in out.iter() {
             batch.record(o.hit.is_some(), o.memory_accesses);
         }
         self.counters.merge(&batch);
-        outcomes.into_iter().map(Into::into).collect()
-    }
-
-    fn search_batch_parallel_stats(
-        &self,
-        keys: &[SearchKey],
-        threads: usize,
-    ) -> (Vec<EngineOutcome>, SearchStats) {
-        let (outcomes, stats) = self.table.search_batch_parallel_stats(keys, threads);
-        self.counters.merge(&stats);
-        (outcomes.into_iter().map(Into::into).collect(), stats)
     }
 }
 
@@ -522,9 +498,9 @@ mod tests {
             .insert(Record::new(TernaryKey::binary(0x21, 16), 1))
             .unwrap();
         // Two direct hits, one miss on database a; nothing on b.
-        sub.search(a, &SearchKey::new(0x21, 16));
-        sub.search(a, &SearchKey::new(0x21, 16));
-        sub.search(a, &SearchKey::new(0x22, 16));
+        assert!(sub.search(a, &SearchKey::new(0x21, 16)).hit.is_some());
+        assert!(sub.search(a, &SearchKey::new(0x21, 16)).hit.is_some());
+        assert!(sub.search(a, &SearchKey::new(0x22, 16)).hit.is_none());
         let c = sub.counters(a);
         assert_eq!(c.searches, 3);
         assert_eq!(c.hits, 2);
@@ -580,6 +556,43 @@ mod tests {
             assert_eq!(par.counters(pb), serial.counters(sb), "threads={threads}");
             assert_eq!(drain(&mut par, pa), expect_a, "threads={threads}");
             assert_eq!(drain(&mut par, pb), expect_b, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn adapter_batches_count_each_search_once() {
+        type Batch = fn(&dyn SearchEngine, &[SearchKey]) -> Vec<EngineOutcome>;
+        let (mut sub, a, _) = subsystem();
+        for i in 0..8u64 {
+            sub.table_mut(a)
+                .insert(Record::new(TernaryKey::binary(u128::from(i) << 3, 16), i))
+                .unwrap();
+        }
+        let keys: Vec<SearchKey> = (0..16u128).map(|i| SearchKey::new(i << 2, 16)).collect();
+        let paths: [(&str, Batch); 4] = [
+            ("search_batch_into", |e, k| {
+                let mut out = vec![EngineOutcome::miss(0)];
+                e.search_batch_into(k, &mut out);
+                out
+            }),
+            ("search_batch", |e, k| e.search_batch(k)),
+            ("search_batch_parallel(1)", |e, k| {
+                e.search_batch_parallel(k, 1)
+            }),
+            ("search_batch_parallel(3)", |e, k| {
+                e.search_batch_parallel(k, 3)
+            }),
+        ];
+        for (path, run) in paths {
+            sub.reset_counters(a);
+            let outcomes = run(&sub.engine(a), &keys);
+            let mut expected = SearchStats::new();
+            for o in &outcomes {
+                expected.record(o.hit.is_some(), o.memory_accesses);
+            }
+            assert_eq!(expected.searches, keys.len() as u64, "{path}");
+            assert_eq!(expected.hits, 8, "{path}");
+            assert_eq!(sub.counters(a), expected, "{path}");
         }
     }
 

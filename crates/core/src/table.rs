@@ -16,6 +16,7 @@
 //! "first match in probe order" exactly longest-prefix match, so a search
 //! can stop at its first hit.
 
+use crate::engine::shard;
 use crate::error::{CaRamError, Result};
 use crate::index::{buckets_for_masked_search_into, BucketList, IndexGenerator};
 use crate::key::SearchKey;
@@ -23,9 +24,7 @@ use crate::layout::{Record, RecordLayout};
 use crate::matchproc::wins_tie_break;
 use crate::probe::ProbePolicy;
 use crate::slice::CaRamSlice;
-use crate::stats::{
-    AtomicSearchStats, LoadReport, OccupancyHistogram, PlacementStats, SearchStats,
-};
+use crate::stats::{LoadReport, OccupancyHistogram, PlacementStats};
 use crate::storage::StorageBackend;
 use crate::telemetry::trace::{NullSink, ProbeSummary, Stage, TelemetrySink};
 use std::path::Path;
@@ -1290,66 +1289,19 @@ impl CaRamTable {
         }
     }
 
-    /// Parallel [`CaRamTable::search_batch`]: shards `keys` into contiguous
-    /// chunks across `threads` scoped workers (`0` = one per available CPU).
-    /// Searches take `&self`, so the slices are shared read-only; outcome
-    /// order matches the input order exactly.
-    #[must_use]
-    pub fn search_batch_parallel(&self, keys: &[SearchKey], threads: usize) -> Vec<SearchOutcome> {
-        self.search_batch_parallel_stats(keys, threads).0
-    }
-
-    /// As [`CaRamTable::search_batch_parallel`], also returning the merged
-    /// per-shard [`SearchStats`] so callers maintaining activity counters
-    /// (e.g. the subsystem pump) get them without a second pass.
-    ///
-    /// Statistics flow through the shared instrumentation layer
-    /// ([`AtomicSearchStats`]): each shard accumulates locally and folds its
-    /// totals in once, so the result is bit-equal to a serial accumulation.
+    /// Parallel [`CaRamTable::search_batch`]: [`shard`] splits `keys` into
+    /// contiguous ranges across `threads` scoped workers (`0` = one per
+    /// available CPU), each running the pipelined serial batch. Searches
+    /// take `&self`, so the slices are shared read-only; outcome order
+    /// matches the input order exactly.
     ///
     /// # Panics
     ///
     /// Panics if a worker thread panics (a search itself never does for
     /// width-matching keys).
     #[must_use]
-    pub fn search_batch_parallel_stats(
-        &self,
-        keys: &[SearchKey],
-        threads: usize,
-    ) -> (Vec<SearchOutcome>, SearchStats) {
-        let threads = effective_threads(threads, keys.len());
-        if threads <= 1 {
-            let outcomes = self.search_batch(keys);
-            let mut stats = SearchStats::new();
-            for o in &outcomes {
-                stats.record(o.hit.is_some(), o.memory_accesses);
-            }
-            return (outcomes, stats);
-        }
-        let mut outcomes = vec![
-            SearchOutcome {
-                hit: None,
-                memory_accesses: 0,
-            };
-            keys.len()
-        ];
-        let chunk = keys.len().div_ceil(threads);
-        let shared = AtomicSearchStats::new();
-        std::thread::scope(|scope| {
-            for (key_chunk, out_chunk) in keys.chunks(chunk).zip(outcomes.chunks_mut(chunk)) {
-                let shared = &shared;
-                scope.spawn(move || {
-                    let mut local = SearchStats::new();
-                    let mut out = out_chunk.iter_mut();
-                    self.search_batch_into(key_chunk, |outcome| {
-                        local.record(outcome.hit.is_some(), outcome.memory_accesses);
-                        *out.next().expect("one outcome slot per key") = outcome;
-                    });
-                    shared.merge(&local);
-                });
-            }
-        });
-        (outcomes, shared.snapshot())
+    pub fn search_batch_parallel(&self, keys: &[SearchKey], threads: usize) -> Vec<SearchOutcome> {
+        shard(keys.len(), threads, |range| self.search_batch(&keys[range])).concat()
     }
 
     /// Removes the record whose stored key exactly equals `key` (value,
@@ -1515,13 +1467,6 @@ impl crate::engine::SearchEngine for CaRamTable {
         }
     }
 
-    fn search_batch(&self, keys: &[SearchKey]) -> Vec<crate::engine::EngineOutcome> {
-        CaRamTable::search_batch(self, keys)
-            .into_iter()
-            .map(Into::into)
-            .collect()
-    }
-
     fn search_batch_into(&self, keys: &[SearchKey], out: &mut Vec<crate::engine::EngineOutcome>) {
         out.clear();
         out.reserve(keys.len());
@@ -1529,27 +1474,6 @@ impl crate::engine::SearchEngine for CaRamTable {
             out.push(crate::engine::EngineOutcome::from(o));
         });
     }
-
-    fn search_batch_parallel_stats(
-        &self,
-        keys: &[SearchKey],
-        threads: usize,
-    ) -> (Vec<crate::engine::EngineOutcome>, SearchStats) {
-        let (outcomes, stats) = CaRamTable::search_batch_parallel_stats(self, keys, threads);
-        (outcomes.into_iter().map(Into::into).collect(), stats)
-    }
-}
-
-/// Resolves a caller-supplied thread count: `0` means one worker per
-/// available CPU, and the result never exceeds the number of work items
-/// (no point spawning idle workers) nor drops below 1.
-pub(crate) fn effective_threads(threads: usize, work: usize) -> usize {
-    let requested = if threads == 0 {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    } else {
-        threads
-    };
-    requested.clamp(1, work.max(1))
 }
 
 #[cfg(test)]
@@ -2209,32 +2133,15 @@ mod tests {
     }
 
     #[test]
-    fn parallel_batch_agrees_with_serial_and_merges_stats() {
+    fn parallel_batch_agrees_with_serial() {
         let (t, probes) = loaded_table_and_probes();
         let serial = t.search_batch(&probes);
         for threads in [0, 1, 2, 3, 7] {
-            let (par, stats) = t.search_batch_parallel_stats(&probes, threads);
-            assert_eq!(par, serial, "threads={threads}");
-            assert_eq!(stats.searches, probes.len() as u64);
             assert_eq!(
-                stats.hits,
-                serial.iter().filter(|o| o.hit.is_some()).count() as u64
-            );
-            assert_eq!(
-                stats.memory_accesses,
-                serial
-                    .iter()
-                    .map(|o| u64::from(o.memory_accesses))
-                    .sum::<u64>()
+                t.search_batch_parallel(&probes, threads),
+                serial,
+                "threads={threads}"
             );
         }
-    }
-
-    #[test]
-    fn effective_threads_resolves_zero_and_clamps() {
-        assert!(effective_threads(0, 100) >= 1);
-        assert_eq!(effective_threads(8, 3), 3);
-        assert_eq!(effective_threads(2, 100), 2);
-        assert_eq!(effective_threads(4, 0), 1);
     }
 }

@@ -24,9 +24,11 @@
 //!   ([`SloTracker`]) diffed out of cumulative histograms.
 //!
 //! Instrumented components ([`crate::table::CaRamTable`],
-//! [`crate::subsystem::CaRamSubsystem`], the input-controller models) take
-//! an `Arc<dyn TelemetrySink>`; with no sink installed the search hot
-//! path pays one branch and nothing else.
+//! [`crate::subsystem::CaRamSubsystem`]) take an `Arc<dyn TelemetrySink>`;
+//! with no sink installed the search hot path pays one branch and nothing
+//! else. The input-controller model
+//! ([`crate::controller::simulate_with_sink`]) is generic over its sink,
+//! and the untraced [`crate::controller::simulate`] passes [`NullSink`].
 
 pub mod export;
 pub mod histogram;

@@ -4,7 +4,11 @@
 //! (Fig. 7 is a bucket-occupancy distribution, AMAL is the mean of the
 //! per-lookup access distribution), queue depths, and latencies under
 //! load. Flat counters ([`crate::stats::SearchStats`]) lose everything but
-//! the mean; these histograms keep the shape at a fixed, tiny cost.
+//! the mean; these histograms keep the shape at a fixed, tiny cost. Their
+//! exact count and sum carry the flat counters too: a
+//! [`super::HistogramSink`] snapshot derives its searches and memory
+//! accesses from the `row_fetches` histogram instead of counting them
+//! twice.
 //!
 //! Values are bucketed by bit width: bucket 0 holds the value 0 and bucket
 //! `i ≥ 1` holds `[2^(i-1), 2^i - 1]`. That makes recording branch-free
@@ -20,7 +24,7 @@
 //! * [`AtomicHistogram`] — the shared recording cell: relaxed
 //!   `fetch_add`s on the hot path, [`AtomicHistogram::snapshot`] to
 //!   materialise a plain [`Histogram`], [`AtomicHistogram::merge`] to fold
-//!   in a shard's local histogram, exactly like
+//!   in a locally accumulated histogram, exactly like
 //!   [`crate::stats::AtomicSearchStats`].
 
 use core::sync::atomic::{AtomicU64, Ordering::Relaxed};

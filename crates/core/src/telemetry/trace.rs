@@ -1,10 +1,11 @@
 //! The [`TelemetrySink`] trait and its built-in sinks.
 //!
 //! Instrumented components ([`crate::table::CaRamTable`],
-//! [`crate::subsystem::CaRamSubsystem`], the input-controller model) hold
-//! an `Option<Arc<dyn TelemetrySink>>`. With no sink installed the hot
-//! path pays a single pointer-null branch. With a sink installed, the
-//! traced search path reports:
+//! [`crate::subsystem::CaRamSubsystem`]) hold an
+//! `Option<Arc<dyn TelemetrySink>>`; the input-controller model takes any
+//! sink by reference. With no sink installed the hot path pays a single
+//! pointer-null branch. With a sink installed, the traced search path
+//! reports:
 //!
 //! * per-stage events mirroring the paper's Fig. 4 pipeline (hash → row
 //!   fetch → match → priority-decode/extract, plus the overflow probe);
@@ -16,12 +17,12 @@
 //! only what it wants. [`HistogramSink`] is the production sink (lock-free
 //! histograms, shareable across threads); [`TraceBuffer`] records discrete
 //! events for tests; [`NullSink`] accepts everything and keeps nothing —
-//! the table's probe walk reports to it when no sink is installed.
+//! the table's probe walk reports to it when no sink is installed, and so
+//! does the untraced controller model.
 
 use std::sync::Arc;
 use std::sync::Mutex;
 
-use crate::stats::AtomicSearchStats;
 use crate::stats::SearchStats;
 
 use super::histogram::AtomicHistogram;
@@ -156,7 +157,9 @@ impl TelemetrySink for NullSink {}
 /// Plain-value snapshot of everything a [`HistogramSink`] has recorded.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TelemetrySnapshot {
-    /// Flat hit/access counters, mirroring engine-level stats.
+    /// Flat hit/access counters, mirroring engine-level stats. Searches
+    /// and memory accesses are `row_fetches.count()` and
+    /// `row_fetches.sum()`; only hits are counted separately.
     pub stats: SearchStats,
     /// Distribution of [`ProbeSummary::probe_length`].
     pub probe_length: Histogram,
@@ -189,7 +192,9 @@ const COMBO_LIMIT: usize = 8;
 #[derive(Debug)]
 pub struct HistogramSink {
     deep: bool,
-    stats: AtomicSearchStats,
+    /// Hits among the searches that missed the scoreboard; the
+    /// scoreboard's hit half counts the rest.
+    slow_hits: core::sync::atomic::AtomicU64,
     probe_length: AtomicHistogram,
     row_fetches: AtomicHistogram,
     match_popcount: AtomicHistogram,
@@ -208,7 +213,7 @@ impl Default for HistogramSink {
     fn default() -> Self {
         Self {
             deep: false,
-            stats: AtomicSearchStats::default(),
+            slow_hits: core::sync::atomic::AtomicU64::new(0),
             probe_length: AtomicHistogram::default(),
             row_fetches: AtomicHistogram::default(),
             match_popcount: AtomicHistogram::default(),
@@ -245,35 +250,41 @@ impl HistogramSink {
     }
 
     /// A plain-value snapshot of all counters, with the fast-path
-    /// scoreboard folded back into the exact stats and histograms.
+    /// scoreboard folded back into the exact histograms. The flat stats
+    /// derive from the folded `row_fetches` histogram (one observation per
+    /// search, summing to the memory accesses) plus the hit count.
     #[must_use]
     pub fn snapshot(&self) -> TelemetrySnapshot {
         use core::sync::atomic::Ordering::Relaxed;
-        let mut snap = TelemetrySnapshot {
-            stats: self.stats.snapshot(),
-            probe_length: self.probe_length.snapshot(),
-            row_fetches: self.row_fetches.snapshot(),
-            match_popcount: self.match_popcount.snapshot(),
-            insert_occupancy: self.insert_occupancy.snapshot(),
-            queue_depth: self.queue_depth.snapshot(),
-            queue_wait: self.queue_wait.snapshot(),
-            stage_counts: core::array::from_fn(|i| self.stage_counts[i].load(Relaxed)),
-        };
+        let mut hits = self.slow_hits.load(Relaxed);
+        let mut probe_length = self.probe_length.snapshot();
+        let mut row_fetches = self.row_fetches.snapshot();
         for (idx, cell) in self.combo.iter().enumerate() {
             let n = cell.load(Relaxed);
             if n == 0 {
                 continue;
             }
             let (hit, probe, fetches) = Self::combo_fields(idx);
-            snap.stats.searches += n;
             if hit {
-                snap.stats.hits += n;
+                hits += n;
             }
-            snap.stats.memory_accesses += fetches * n;
-            snap.probe_length.record_n(probe, n);
-            snap.row_fetches.record_n(fetches, n);
+            probe_length.record_n(probe, n);
+            row_fetches.record_n(fetches, n);
         }
-        snap
+        TelemetrySnapshot {
+            stats: SearchStats {
+                searches: row_fetches.count(),
+                hits,
+                memory_accesses: row_fetches.sum(),
+            },
+            probe_length,
+            row_fetches,
+            match_popcount: self.match_popcount.snapshot(),
+            insert_occupancy: self.insert_occupancy.snapshot(),
+            queue_depth: self.queue_depth.snapshot(),
+            queue_wait: self.queue_wait.snapshot(),
+            stage_counts: core::array::from_fn(|i| self.stage_counts[i].load(Relaxed)),
+        }
     }
 
     #[inline]
@@ -295,7 +306,7 @@ impl HistogramSink {
     /// Zeroes every counter.
     pub fn reset(&self) {
         use core::sync::atomic::Ordering::Relaxed;
-        self.stats.reset();
+        self.slow_hits.store(0, Relaxed);
         self.probe_length.reset();
         self.row_fetches.reset();
         self.match_popcount.reset();
@@ -338,11 +349,10 @@ impl TelemetrySink for HistogramSink {
             self.combo[idx].fetch_add(1, core::sync::atomic::Ordering::Relaxed);
             return;
         }
-        #[allow(clippy::cast_possible_truncation)]
-        self.stats.record(
-            summary.hit,
-            summary.row_fetches.min(u64::from(u32::MAX)) as u32,
-        );
+        if summary.hit {
+            self.slow_hits
+                .fetch_add(1, core::sync::atomic::Ordering::Relaxed);
+        }
         self.probe_length.record(summary.probe_length);
         self.row_fetches.record(summary.row_fetches);
     }

@@ -31,9 +31,6 @@ pub struct ServiceConfig {
     pub queue_depth: usize,
     /// Most requests drained into one batch per worker wakeup.
     pub batch_max: usize,
-    /// Threads handed to `search_batch_parallel` per drained search run
-    /// (1 = serial within the shard worker, 0 = all cores).
-    pub batch_threads: usize,
     /// Default per-request deadline measured from submission; a request
     /// still queued when it expires is shed, never served stale. `None`
     /// disables deadlines.
@@ -69,7 +66,6 @@ impl Default for ServiceConfig {
             shards: 4,
             queue_depth: 1024,
             batch_max: 64,
-            batch_threads: 1,
             default_deadline: None,
             telemetry_shed_fill: 0.5,
             coalesce_fill: 0.75,

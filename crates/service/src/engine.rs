@@ -85,7 +85,7 @@ impl SearchEngine for ServiceEngine {
         self.service.occupancy()
     }
 
-    fn search_batch(&self, keys: &[SearchKey]) -> Vec<EngineOutcome> {
+    fn search_batch_into(&self, keys: &[SearchKey], out: &mut Vec<EngineOutcome>) {
         // Drive the real batched path: one submission, one ring entry per
         // involved shard, one completion. No deadline — like the sync
         // surface, the trait contract is every key gets a real answer.
@@ -96,14 +96,11 @@ impl SearchEngine for ServiceEngine {
                 Err(AdmissionError::ShuttingDown) => panic!("service shutting down"),
             }
         };
-        completion
-            .replies
-            .into_iter()
-            .map(|reply| match reply {
-                ServiceReply::Search(outcome) => outcome,
-                other => panic!("batch search answered with {other:?}"),
-            })
-            .collect()
+        out.clear();
+        out.extend(completion.replies.into_iter().map(|reply| match reply {
+            ServiceReply::Search(outcome) => outcome,
+            other => panic!("batch search answered with {other:?}"),
+        }));
     }
 }
 

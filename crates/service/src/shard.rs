@@ -83,7 +83,6 @@ impl ShardStats {
 struct ShardLimits {
     queue_depth: usize,
     batch_max: usize,
-    batch_threads: usize,
     telemetry_shed_threshold: usize,
     coalesce_threshold: usize,
 }
@@ -285,7 +284,6 @@ impl Shard {
             limits: ShardLimits {
                 queue_depth: config.queue_depth,
                 batch_max: config.batch_max,
-                batch_threads: config.batch_threads,
                 telemetry_shed_threshold: config.telemetry_shed_threshold(),
                 coalesce_threshold: config.coalesce_threshold(),
             },
@@ -717,12 +715,7 @@ impl Shard {
         // so the read path is free of atomics and locks.
         // SAFETY: this is the shard worker thread, the engine's sole owner.
         let engine = unsafe { self.engine.engine() };
-        if scratch.keys.len() > 1 && self.limits.batch_threads != 1 {
-            scratch.outcomes =
-                engine.search_batch_parallel(&scratch.keys, self.limits.batch_threads);
-        } else {
-            engine.search_batch_into(&scratch.keys, &mut scratch.outcomes);
-        }
+        engine.search_batch_into(&scratch.keys, &mut scratch.outcomes);
         // One clock read per run serves both the traced engine-done stamp
         // and the (always-on) SLO latency histogram.
         let engine_done = Instant::now();

@@ -231,7 +231,6 @@ fn duplicate_inflight_keys_coalesce_past_the_ladder_rung() {
         shards: 1,
         queue_depth: 32,
         batch_max: 32,
-        batch_threads: 1,
         default_deadline: None,
         // Coalesce from the first queued request onward.
         telemetry_shed_fill: 0.0,

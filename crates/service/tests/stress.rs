@@ -42,7 +42,6 @@ fn concurrent_mixed_ops_match_serially_replayed_oracle() {
         shards: 4,
         queue_depth: 256,
         batch_max: 32,
-        batch_threads: 1,
         default_deadline: None,
         telemetry_shed_fill: 0.5,
         coalesce_fill: 0.75,

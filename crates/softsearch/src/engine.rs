@@ -30,7 +30,6 @@ use ca_ram_core::engine::{EngineHit, EngineOutcome, EngineReport, SearchEngine};
 use ca_ram_core::error::{CaRamError, Result};
 use ca_ram_core::key::{SearchKey, TernaryKey};
 use ca_ram_core::layout::Record;
-use ca_ram_core::stats::SearchStats;
 
 use crate::cache::{AccessStats, Hierarchy};
 use crate::structures::{Lookup, SoftIndex};
@@ -150,7 +149,7 @@ impl<I: SoftIndex + Send + Sync> SearchEngine for SoftEngine<I> {
     /// # Panics
     ///
     /// As [`SoftEngine::search`], per key.
-    fn search_batch(&self, keys: &[SearchKey]) -> Vec<EngineOutcome> {
+    fn search_batch_into(&self, keys: &[SearchKey], out: &mut Vec<EngineOutcome>) {
         let mut u64_keys = Vec::with_capacity(keys.len());
         for key in keys {
             assert_eq!(key.bits(), SOFT_KEY_BITS, "search key width mismatch");
@@ -165,22 +164,13 @@ impl<I: SoftIndex + Send + Sync> SearchEngine for SoftEngine<I> {
             let mut mem = self.mem.lock().expect("hierarchy lock poisoned");
             self.index.lookup_batch(&u64_keys, &mut mem, &mut lookups);
         }
-        lookups.into_iter().map(to_outcome).collect()
+        out.clear();
+        out.extend(lookups.into_iter().map(to_outcome));
     }
 
     /// The software model is inherently serial (one stateful cache
-    /// hierarchy), so the "parallel" path runs the serial batch; the
-    /// statistics are accumulated identically.
-    fn search_batch_parallel_stats(
-        &self,
-        keys: &[SearchKey],
-        _threads: usize,
-    ) -> (Vec<EngineOutcome>, SearchStats) {
-        let outcomes = self.search_batch(keys);
-        let mut stats = SearchStats::new();
-        for o in &outcomes {
-            stats.record(o.hit.is_some(), o.memory_accesses);
-        }
-        (outcomes, stats)
+    /// hierarchy), so the "parallel" path runs the serial batch.
+    fn search_batch_parallel(&self, keys: &[SearchKey], _threads: usize) -> Vec<EngineOutcome> {
+        self.search_batch(keys)
     }
 }
