@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 
 use ca_ram_core::key::SearchKey;
 
-use crate::request::{AdmissionError, ServiceOp, ServiceReply};
+use crate::request::{micros, AdmissionError, ServiceOp, ServiceReply};
 use crate::service::SearchService;
 
 /// Order statistics over a latency sample set, in microseconds.
@@ -140,8 +140,8 @@ impl<'a> ServiceClient<'a> {
             if completion.coalesced {
                 coalesced += 1;
             }
-            latencies.push(duration_us(completion.total));
-            queue_waits.push(duration_us(completion.queue_wait));
+            latencies.push(micros(completion.total));
+            queue_waits.push(micros(completion.queue_wait));
         }
         let elapsed_secs = start.elapsed().as_secs_f64();
         let completed = latencies.len() as u64;
@@ -197,8 +197,8 @@ impl<'a> ServiceClient<'a> {
             let batch_shed = completion.shed() as u64;
             shed += batch_shed;
             completed += completion.replies.len() as u64 - batch_shed;
-            latencies.push(duration_us(completion.total));
-            queue_waits.push(duration_us(completion.queue_wait));
+            latencies.push(micros(completion.total));
+            queue_waits.push(micros(completion.queue_wait));
         };
         let start = Instant::now();
         let mut submit_elapsed = 0.0;
@@ -291,7 +291,7 @@ impl<'a> ServiceClient<'a> {
                             let completion = ticket.wait();
                             if !matches!(completion.reply, ServiceReply::Shed(_)) {
                                 completed.fetch_add(1, Ordering::Relaxed);
-                                latencies.push(duration_us(completion.total));
+                                latencies.push(micros(completion.total));
                             }
                         }
                         latencies
@@ -348,11 +348,6 @@ fn pace(due: Instant) {
             std::hint::spin_loop();
         }
     }
-}
-
-#[allow(clippy::cast_possible_truncation)]
-fn duration_us(d: Duration) -> u64 {
-    d.as_micros().min(u128::from(u64::MAX)) as u64
 }
 
 #[cfg(test)]

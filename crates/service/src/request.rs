@@ -1,11 +1,17 @@
 //! The request/reply vocabulary of the serving layer.
 //!
-//! Completion hand-off is lock-free: a worker fills an atomic `Slot`
-//! (release store of a state word) and the waiter either observes it in a
-//! short spin or parks; the filler issues at most one unpark per waiter.
-//! Batch submissions share one `BatchSlot` across every shard sub-batch —
-//! workers write disjoint reply positions and the last one to finish
-//! (atomic countdown) publishes the whole batch.
+//! Completion hand-off is lock-free and written once: a filler publishes
+//! into an atomic `Slot<T>` (release store of a state word) and the waiter
+//! either observes it in a short spin or parks; the filler issues at most
+//! one unpark per waiter. A single request's ticket waits on a
+//! `Slot<Completion>`. A key batch shares one `BatchSlot` across every
+//! shard sub-batch — workers write disjoint reply positions, and the last
+//! one to finish (atomic countdown) fills the batch's `Slot<()>`; the
+//! waiter then copies the replies out on its own thread.
+//!
+//! A ring entry is either kind: `RingEntry`'s accessors give the worker
+//! one view of both (request count, keys, deadline, enqueue time, trace),
+//! and `RingEntry::answer` is the one place replies are routed.
 
 use std::cell::UnsafeCell;
 use std::error::Error;
@@ -172,39 +178,54 @@ const TAKEN: u32 = 3;
 /// on a saturated box the worker needs the CPU more than the waiter does.
 const WAIT_SPINS: u32 = 64;
 
-/// The lock-free slot a worker fills and a waiter observes.
+/// Saturating whole microseconds of `d`, the unit every serving-layer
+/// histogram and latency summary records.
+#[must_use]
+pub(crate) fn micros(d: Duration) -> u64 {
+    u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
+}
+
+/// The lock-free one-shot hand-off a filler publishes into and a waiter
+/// observes: a single request's [`Completion`], or `()` for a key batch
+/// whose replies live in its [`BatchSlot`].
 ///
 /// Exactly one filler (the shard worker or the shedding path) and one
 /// taker (the ticket holder) touch each slot, which is what makes the
 /// single `UnsafeCell` hand-off sound.
 #[derive(Debug)]
-pub(crate) struct Slot {
+pub(crate) struct Slot<T> {
     state: AtomicU32,
-    value: UnsafeCell<Option<Completion>>,
+    value: UnsafeCell<Option<T>>,
     waiter: UnsafeCell<Option<Thread>>,
 }
 
 // SAFETY: `value` is written by the unique filler before the release swap
-// to FILLED and read by the unique taker after an acquire load of FILLED;
-// `waiter` is written by the unique waiter before its release CAS to
-// WAITING and read by the filler only after observing WAITING.
-unsafe impl Send for Slot {}
-unsafe impl Sync for Slot {}
+// to FILLED and read by the unique taker after an acquire load of FILLED,
+// so a `T` only ever moves between threads (hence `T: Send`, and no
+// `T: Sync`: no two threads reach it at once); `waiter` is written by the
+// unique waiter before its release CAS to WAITING and read by the filler
+// only after observing WAITING; `state` is atomic.
+unsafe impl<T: Send> Send for Slot<T> {}
+unsafe impl<T: Send> Sync for Slot<T> {}
 
-impl Slot {
+impl<T> Slot<T> {
     pub(crate) fn new() -> Arc<Self> {
-        Arc::new(Self {
+        Arc::new(Self::empty())
+    }
+
+    fn empty() -> Self {
+        Self {
             state: AtomicU32::new(EMPTY),
             value: UnsafeCell::new(None),
             waiter: UnsafeCell::new(None),
-        })
+        }
     }
 
-    /// Publishes the completion and wakes the waiter if one is parked.
-    pub(crate) fn fill(&self, completion: Completion) {
+    /// Publishes the value and wakes the waiter if one is parked.
+    pub(crate) fn fill(&self, value: T) {
         // SAFETY: unique filler; the state machine still reads EMPTY or
         // WAITING, so no taker looks at `value` yet.
-        unsafe { *self.value.get() = Some(completion) };
+        unsafe { *self.value.get() = Some(value) };
         match self.state.swap(FILLED, Ordering::AcqRel) {
             EMPTY => {}
             WAITING => {
@@ -215,18 +236,18 @@ impl Slot {
                     thread.unpark();
                 }
             }
-            state => unreachable!("request completed twice (slot state {state})"),
+            state => unreachable!("slot filled twice (state {state})"),
         }
     }
 
-    /// Blocks until filled, then takes the completion.
+    /// Blocks until filled, then takes the value.
     ///
     /// # Panics
     ///
-    /// Panics (with a clear message) if the completion was already claimed
-    /// by [`Slot::try_take`] — waiting on an empty slot would otherwise
-    /// block forever, since the filler is done.
-    fn wait_take(&self) -> Completion {
+    /// Panics (with a clear message) if the value was already claimed by
+    /// [`Slot::try_take`] — waiting on an empty slot would otherwise block
+    /// forever, since the filler is done.
+    fn wait_take(&self) -> T {
         for _ in 0..WAIT_SPINS {
             match self.state.load(Ordering::Acquire) {
                 FILLED => return self.take(),
@@ -258,15 +279,15 @@ impl Slot {
         panic!("completion already taken: Ticket::try_take consumed it before this wait")
     }
 
-    fn take(&self) -> Completion {
+    fn take(&self) -> T {
         self.state.store(TAKEN, Ordering::Relaxed);
         // SAFETY: state was FILLED (acquire-observed), so the filler's
         // write to `value` happens-before this read, and the unique taker
         // is the only reader.
-        unsafe { (*self.value.get()).take() }.expect("filled slot holds a completion")
+        unsafe { (*self.value.get()).take() }.expect("filled slot holds a value")
     }
 
-    fn try_take(&self) -> Option<Completion> {
+    fn try_take(&self) -> Option<T> {
         if self
             .state
             .compare_exchange(FILLED, TAKEN, Ordering::AcqRel, Ordering::Acquire)
@@ -282,11 +303,11 @@ impl Slot {
 /// A handle on one in-flight request; wait on it for the [`Completion`].
 #[derive(Debug)]
 pub struct Ticket {
-    slot: Arc<Slot>,
+    slot: Arc<Slot<Completion>>,
 }
 
 impl Ticket {
-    pub(crate) fn new(slot: Arc<Slot>) -> Self {
+    pub(crate) fn new(slot: Arc<Slot<Completion>>) -> Self {
         Self { slot }
     }
 
@@ -314,23 +335,23 @@ impl Ticket {
 ///
 /// `replies` is partitioned across shard sub-batches: each worker writes
 /// only its own positions, so the cells never race; `pending` counts
-/// sub-batches still in flight and the transition to zero publishes the
-/// batch (release/acquire on the counter).
+/// sub-batches still in flight, and the one that takes it to zero fills
+/// `done`, the same [`Slot`] a single request's ticket waits on.
 #[derive(Debug)]
 pub(crate) struct BatchSlot {
     replies: Box<[UnsafeCell<ServiceReply>]>,
     pending: AtomicUsize,
     /// Longest sub-batch queue wait, microseconds (atomic max).
     queue_wait_us: AtomicU64,
-    state: AtomicU32,
-    waiter: UnsafeCell<Option<Thread>>,
+    done: Slot<()>,
     enqueued: Instant,
 }
 
 // SAFETY: reply cells are written by at most one worker each (disjoint
-// position sets) before the release countdown, and read by the unique
-// taker after acquiring FILLED; `waiter` follows the same protocol as
-// `Slot::waiter`.
+// position sets) before the acquire-release countdown, whose last step
+// fills `done`; the unique taker reads them only after `done` is filled.
+// `pending` and `queue_wait_us` are atomic, `done` is a `Slot<()>` (Send
+// and Sync), and `enqueued` is a plain `Copy` value never written again.
 unsafe impl Send for BatchSlot {}
 unsafe impl Sync for BatchSlot {}
 
@@ -342,15 +363,9 @@ impl BatchSlot {
                 .collect(),
             pending: AtomicUsize::new(pending),
             queue_wait_us: AtomicU64::new(0),
-            state: AtomicU32::new(EMPTY),
-            waiter: UnsafeCell::new(None),
+            done: Slot::empty(),
             enqueued: Instant::now(),
         })
-    }
-
-    /// When the batch was submitted.
-    pub(crate) fn enqueued(&self) -> Instant {
-        self.enqueued
     }
 
     /// Writes one key's reply. Caller must own `position` (be the worker
@@ -364,8 +379,8 @@ impl BatchSlot {
 
     /// Folds one sub-batch's queue wait into the batch maximum.
     pub(crate) fn note_queue_wait(&self, wait: Duration) {
-        let us = u64::try_from(wait.as_micros()).unwrap_or(u64::MAX);
-        self.queue_wait_us.fetch_max(us, Ordering::Relaxed);
+        self.queue_wait_us
+            .fetch_max(micros(wait), Ordering::Relaxed);
     }
 
     /// Counts one sub-batch down; the last one publishes the batch and
@@ -374,48 +389,20 @@ impl BatchSlot {
         if self.pending.fetch_sub(1, Ordering::AcqRel) != 1 {
             return false;
         }
-        match self.state.swap(FILLED, Ordering::AcqRel) {
-            EMPTY => {}
-            WAITING => {
-                // SAFETY: waiter handle published before the WAITING CAS.
-                let thread = unsafe { (*self.waiter.get()).take() };
-                if let Some(thread) = thread {
-                    thread.unpark();
-                }
-            }
-            state => unreachable!("batch completed twice (slot state {state})"),
-        }
+        self.done.fill(());
         true
     }
 
+    /// Waits for the last sub-batch, then copies the replies out on the
+    /// waiting (client) thread.
     fn wait_take(&self) -> BatchCompletion {
-        for _ in 0..WAIT_SPINS {
-            if self.state.load(Ordering::Acquire) == FILLED {
-                return self.take();
-            }
-            std::hint::spin_loop();
-        }
-        // SAFETY: unique waiter, same protocol as `Slot::wait_take`.
-        unsafe { *self.waiter.get() = Some(std::thread::current()) };
-        if self
-            .state
-            .compare_exchange(EMPTY, WAITING, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
-        {
-            while self.state.load(Ordering::Acquire) != FILLED {
-                std::thread::park();
-            }
-        }
-        self.take()
-    }
-
-    fn take(&self) -> BatchCompletion {
-        self.state.store(TAKEN, Ordering::Relaxed);
+        self.done.wait_take();
         let replies = self
             .replies
             .iter()
             // SAFETY: every writer finished before the countdown reached
-            // zero (acquire on `pending`/`state`), so the cells are stable.
+            // zero and filled `done`, which the wait above acquired, so
+            // the cells are stable.
             .map(|cell| unsafe { (*cell.get()).clone() })
             .collect();
         BatchCompletion {
@@ -452,23 +439,9 @@ pub(crate) struct PendingRequest {
     pub(crate) op: ServiceOp,
     pub(crate) enqueued: Instant,
     pub(crate) deadline: Option<Instant>,
-    pub(crate) slot: Arc<Slot>,
+    pub(crate) slot: Arc<Slot<Completion>>,
     /// Lifecycle trace for sampled requests (`None` = unsampled).
     pub(crate) trace: TraceCtx,
-}
-
-impl PendingRequest {
-    /// Completes the request, stamping the timeline relative to `picked_up`
-    /// (when the worker drained it) and now.
-    pub(crate) fn complete(self, reply: ServiceReply, picked_up: Instant, coalesced: bool) {
-        let completion = Completion {
-            reply,
-            queue_wait: picked_up.saturating_duration_since(self.enqueued),
-            total: self.enqueued.elapsed(),
-            coalesced,
-        };
-        self.slot.fill(completion);
-    }
 }
 
 /// One shard's slice of a submitted key batch: the keys routed here plus
@@ -483,17 +456,11 @@ pub(crate) struct PendingSubBatch {
     pub(crate) trace: TraceCtx,
 }
 
-impl PendingSubBatch {
-    /// Sheds every key of this sub-batch and counts it down.
-    pub(crate) fn shed(self, reason: ShedReason) {
-        for &position in &self.positions {
-            self.slot.write_reply(position, ServiceReply::Shed(reason));
-        }
-        self.slot.finish_sub();
-    }
-}
-
 /// One entry in a shard's mailbox ring.
+///
+/// The kind decides only how many keys an entry carries and where its
+/// replies go; admission, shedding, serving and telemetry go through the
+/// accessors below and treat both kinds alike.
 #[derive(Debug)]
 pub(crate) enum RingEntry {
     /// A single routed request.
@@ -503,25 +470,85 @@ pub(crate) enum RingEntry {
 }
 
 impl RingEntry {
-    /// Requests this entry represents (keys for a batch, 1 otherwise).
-    pub(crate) fn requests(&self) -> u64 {
-        self.request_count() as u64
-    }
-
-    /// As [`RingEntry::requests`], in the native width the queued-request
-    /// accounting uses.
-    pub(crate) fn request_count(&self) -> usize {
+    /// Requests this entry represents (keys for a batch slice, 1 otherwise).
+    pub(crate) fn requests(&self) -> usize {
         match self {
             RingEntry::Single(_) => 1,
             RingEntry::Batch(sub) => sub.keys.len(),
         }
     }
 
-    /// The sampled lifecycle trace, if this entry carries one.
-    pub(crate) fn trace_mut(&mut self) -> Option<&mut RequestTrace> {
+    /// The keys to search: a single search's key as a one-element slice,
+    /// a batch slice's keys, nothing for a write.
+    pub(crate) fn keys(&self) -> &[SearchKey] {
         match self {
-            RingEntry::Single(request) => request.trace.as_deref_mut(),
-            RingEntry::Batch(sub) => sub.trace.as_deref_mut(),
+            RingEntry::Single(PendingRequest {
+                op: ServiceOp::Search(key),
+                ..
+            }) => std::slice::from_ref(key),
+            RingEntry::Single(_) => &[],
+            RingEntry::Batch(sub) => &sub.keys,
+        }
+    }
+
+    /// The engine mutation this entry asks for, if it is a write.
+    pub(crate) fn write_op(&self) -> Option<ServiceOp> {
+        match self {
+            RingEntry::Single(request) if request.op.is_write() => Some(request.op),
+            _ => None,
+        }
+    }
+
+    /// When the entry was admitted (a batch slice: when its batch was).
+    pub(crate) fn enqueued(&self) -> Instant {
+        match self {
+            RingEntry::Single(request) => request.enqueued,
+            RingEntry::Batch(sub) => sub.slot.enqueued,
+        }
+    }
+
+    /// The absolute deadline, if any, past which the entry is shed.
+    pub(crate) fn deadline(&self) -> Option<Instant> {
+        match self {
+            RingEntry::Single(request) => request.deadline,
+            RingEntry::Batch(sub) => sub.deadline,
+        }
+    }
+
+    /// The lifecycle-trace context (`None` when unsampled).
+    pub(crate) fn trace(&mut self) -> &mut TraceCtx {
+        match self {
+            RingEntry::Single(request) => &mut request.trace,
+            RingEntry::Batch(sub) => &mut sub.trace,
+        }
+    }
+
+    /// Publishes the entry's replies, `reply(i)` answering its `i`-th
+    /// request, with the queue wait measured up to `picked_up`. A single
+    /// fills its ticket (flagged `coalesced` as given); a batch slice
+    /// writes its positions, folds its wait into the batch maximum and
+    /// counts its sub-batch down.
+    pub(crate) fn answer(
+        self,
+        picked_up: Instant,
+        coalesced: bool,
+        mut reply: impl FnMut(usize) -> ServiceReply,
+    ) {
+        let queue_wait = picked_up.saturating_duration_since(self.enqueued());
+        match self {
+            RingEntry::Single(request) => request.slot.fill(Completion {
+                reply: reply(0),
+                queue_wait,
+                total: request.enqueued.elapsed(),
+                coalesced,
+            }),
+            RingEntry::Batch(sub) => {
+                for (i, &position) in sub.positions.iter().enumerate() {
+                    sub.slot.write_reply(position, reply(i));
+                }
+                sub.slot.note_queue_wait(queue_wait);
+                sub.slot.finish_sub();
+            }
         }
     }
 }
@@ -647,17 +674,45 @@ mod tests {
     }
 
     #[test]
+    fn batch_ticket_wait_parks_until_the_last_sub_batch() {
+        let slot = BatchSlot::new(2, 2);
+        let ticket = BatchTicket::new(Arc::clone(&slot));
+        slot.write_reply(0, ServiceReply::Search(EngineOutcome::miss(1)));
+        assert!(!slot.finish_sub(), "first sub-batch does not complete");
+        let finisher = {
+            let slot = Arc::clone(&slot);
+            std::thread::spawn(move || {
+                // Finish only once the waiter has armed the park protocol,
+                // so its wake-up must come through `unpark`.
+                while slot.done.state.load(Ordering::Acquire) != WAITING {
+                    std::thread::yield_now();
+                }
+                slot.write_reply(1, ServiceReply::Search(EngineOutcome::miss(2)));
+                assert!(slot.finish_sub(), "last sub-batch completes");
+            })
+        };
+        let completion = ticket.wait();
+        assert_eq!(
+            completion.outcomes(),
+            vec![Some(EngineOutcome::miss(1)), Some(EngineOutcome::miss(2))]
+        );
+        finisher.join().expect("finisher lives");
+    }
+
+    #[test]
     fn sub_batch_shed_answers_every_position() {
         let slot = BatchSlot::new(3, 1);
         let ticket = BatchTicket::new(Arc::clone(&slot));
-        let sub = PendingSubBatch {
+        let sub = RingEntry::Batch(PendingSubBatch {
             keys: vec![SearchKey::new(1, 8); 3].into_boxed_slice(),
             positions: vec![0, 1, 2].into_boxed_slice(),
             deadline: None,
             slot: Arc::clone(&slot),
             trace: None,
-        };
-        sub.shed(ShedReason::Shutdown);
+        });
+        sub.answer(Instant::now(), false, |_| {
+            ServiceReply::Shed(ShedReason::Shutdown)
+        });
         let completion = ticket.wait();
         assert_eq!(completion.shed(), 3);
     }

@@ -14,13 +14,12 @@ use ca_ram_core::layout::Record;
 use ca_ram_core::pattern::QueryPlan;
 use ca_ram_core::telemetry::{
     Histogram, MetricsRegistry, RequestTrace, ScopeKind, SloPolicy, SloReport, SloTracker,
-    SpanStage,
 };
 
 use crate::config::ServiceConfig;
 use crate::request::{
-    AdmissionError, BatchSlot, BatchTicket, PendingSubBatch, RingEntry, ServiceOp, ServiceReply,
-    Ticket,
+    AdmissionError, BatchSlot, BatchTicket, PendingRequest, PendingSubBatch, RingEntry, ServiceOp,
+    ServiceReply, Slot, Ticket,
 };
 use crate::shard::Shard;
 use crate::trace::{FlightEventKind, LadderRung, LadderTransition};
@@ -193,10 +192,6 @@ impl SearchService {
         route_shard(value, self.shards.len())
     }
 
-    fn shard_of(&self, op: &ServiceOp) -> &Arc<Shard> {
-        &self.shards[self.shard_of_value(op.route_value())]
-    }
-
     /// Non-blocking admission: enqueue on the routed shard or refuse.
     /// The configured default deadline applies.
     ///
@@ -220,7 +215,12 @@ impl SearchService {
         op: ServiceOp,
         deadline: Option<Instant>,
     ) -> std::result::Result<Ticket, AdmissionError> {
-        self.shard_of(&op).try_submit(op, deadline)
+        let shard = self.shard_of_value(op.route_value());
+        if let Err(refusal) = self.admit(&[shard]) {
+            self.note_refused(refusal, 1);
+            return Err(refusal);
+        }
+        Ok(self.push_single(shard, op, deadline))
     }
 
     /// Blocking admission: backpressure on a full queue instead of refusing.
@@ -244,11 +244,79 @@ impl SearchService {
         op: ServiceOp,
         deadline: Option<Instant>,
     ) -> std::result::Result<Ticket, AdmissionError> {
-        self.shard_of(&op).submit_blocking(op, deadline)
+        let shard = self.shard_of_value(op.route_value());
+        let mut backoff = 0u32;
+        loop {
+            match self.admit(&[shard]) {
+                Ok(()) => return Ok(self.push_single(shard, op, deadline)),
+                Err(AdmissionError::QueueFull { .. }) => {}
+                Err(refusal) => return Err(refusal),
+            }
+            // No condvar to sleep on: poll with a yield-then-sleep backoff.
+            // Backpressure is the closed-loop/test path, not the hot one.
+            backoff = (backoff + 1).min(16);
+            if backoff < 8 {
+                std::thread::yield_now();
+            } else {
+                std::thread::sleep(std::time::Duration::from_micros(50));
+            }
+        }
     }
 
     fn default_deadline(&self) -> Option<Instant> {
         self.config.default_deadline.map(|d| Instant::now() + d)
+    }
+
+    /// All-or-nothing admission on `shards` (distinct indices): enter
+    /// every submit window, then reserve one ring entry on each, rolling
+    /// everything back on the first refusal. On `Ok` the caller holds each
+    /// shard's window and reservation and must hand each shard exactly one
+    /// entry through [`Shard::push_reserved`], which releases the window.
+    fn admit(&self, shards: &[usize]) -> std::result::Result<(), AdmissionError> {
+        for (entered, &shard) in shards.iter().enumerate() {
+            if !self.shards[shard].enter() {
+                for &s in &shards[..entered] {
+                    self.shards[s].exit();
+                }
+                return Err(AdmissionError::ShuttingDown);
+            }
+        }
+        for (reserved, &shard) in shards.iter().enumerate() {
+            if !self.shards[shard].try_reserve() {
+                for &s in &shards[..reserved] {
+                    self.shards[s].release();
+                }
+                for &s in shards {
+                    self.shards[s].exit();
+                }
+                return Err(AdmissionError::QueueFull {
+                    shard,
+                    depth: self.shards[shard].depth(),
+                });
+            }
+        }
+        Ok(())
+    }
+
+    /// Counts a non-blocking refusal of `requests` requests against the
+    /// shard that was full.
+    fn note_refused(&self, refusal: AdmissionError, requests: u64) {
+        if let AdmissionError::QueueFull { shard, .. } = refusal {
+            self.shards[shard].note_rejected(requests);
+        }
+    }
+
+    /// Queues one admitted request on `shard` and hands back its ticket.
+    fn push_single(&self, shard: usize, op: ServiceOp, deadline: Option<Instant>) -> Ticket {
+        let slot = Slot::new();
+        self.shards[shard].push_reserved(RingEntry::Single(PendingRequest {
+            op,
+            enqueued: Instant::now(),
+            deadline,
+            slot: Arc::clone(&slot),
+            trace: None,
+        }));
+        Ticket::new(slot)
     }
 
     /// Batched search admission: routes `keys` to their shards in one
@@ -293,76 +361,34 @@ impl SearchService {
             return Ok(BatchTicket::new(slot));
         }
         // Route every key in one pass: per-shard key + position slices.
-        let mut subs: Vec<(usize, Vec<SearchKey>, Vec<u32>)> = Vec::new();
+        let mut shards: Vec<usize> = Vec::new();
+        let mut subs: Vec<(Vec<SearchKey>, Vec<u32>)> = Vec::new();
         let mut sub_of_shard = vec![usize::MAX; self.shards.len()];
         for (position, key) in keys.iter().enumerate() {
             let shard = self.shard_of_value(key.value());
-            let sub = if sub_of_shard[shard] == usize::MAX {
+            if sub_of_shard[shard] == usize::MAX {
                 sub_of_shard[shard] = subs.len();
-                subs.push((shard, Vec::new(), Vec::new()));
-                subs.len() - 1
-            } else {
-                sub_of_shard[shard]
-            };
-            subs[sub].1.push(*key);
-            subs[sub]
-                .2
-                .push(u32::try_from(position).expect("batch fits u32"));
+                shards.push(shard);
+                subs.push((Vec::new(), Vec::new()));
+            }
+            let (sub_keys, positions) = &mut subs[sub_of_shard[shard]];
+            sub_keys.push(*key);
+            positions.push(u32::try_from(position).expect("batch fits u32"));
         }
 
-        // All-or-nothing admission: enter every involved shard's submit
-        // window, reserve one ring entry on each, roll back on any refusal.
-        let mut entered = 0usize;
-        for &(shard, _, _) in &subs {
-            if self.shards[shard].enter() {
-                entered += 1;
-            } else {
-                for &(s, _, _) in &subs[..entered] {
-                    self.shards[s].exit();
-                }
-                return Err(AdmissionError::ShuttingDown);
-            }
+        if let Err(refusal) = self.admit(&shards) {
+            self.note_refused(refusal, keys.len() as u64);
+            return Err(refusal);
         }
-        let mut reserved = 0usize;
-        let mut refused = None;
-        for &(shard, _, _) in &subs {
-            if self.shards[shard].try_reserve() {
-                reserved += 1;
-            } else {
-                refused = Some(shard);
-                break;
-            }
-        }
-        if let Some(shard) = refused {
-            for &(s, _, _) in &subs[..reserved] {
-                self.shards[s].release();
-            }
-            for &(s, _, _) in &subs {
-                self.shards[s].exit();
-            }
-            self.shards[shard].note_rejected(keys.len() as u64);
-            return Err(AdmissionError::QueueFull {
-                shard,
-                depth: self.shards[shard].depth(),
-            });
-        }
-
         let slot = BatchSlot::new(keys.len(), subs.len());
-        for (shard, sub_keys, positions) in subs {
-            // One head-sampling decision (and at most one allocation) per
-            // sub-batch, not per key.
-            let mut trace = self.shards[shard].tracer.start_trace();
-            if let Some(t) = trace.as_deref_mut() {
-                t.record(SpanStage::Enqueued);
-            }
+        for (shard, (sub_keys, positions)) in shards.into_iter().zip(subs) {
             self.shards[shard].push_reserved(RingEntry::Batch(PendingSubBatch {
                 keys: sub_keys.into_boxed_slice(),
                 positions: positions.into_boxed_slice(),
                 deadline,
                 slot: Arc::clone(&slot),
-                trace,
+                trace: None,
             }));
-            self.shards[shard].exit();
         }
         Ok(BatchTicket::new(slot))
     }
@@ -819,9 +845,8 @@ impl SearchService {
             scope.set_counter("write_epochs", shard.write_epochs());
             scope.set_counter("ladder_rung", shard.tracer.current_rung().index());
             scope.set_counter("ladder_transitions", shard.tracer.transition_count());
-            let telemetry = shard.sink.snapshot();
-            scope.set_histogram("queue_depth", telemetry.queue_depth.clone());
-            scope.set_histogram("queue_wait_us", telemetry.queue_wait.clone());
+            scope.set_histogram("queue_depth", shard.queue_depth.snapshot());
+            scope.set_histogram("queue_wait_us", shard.queue_wait_us.snapshot());
             scope.set_histogram("latency_us", shard.tracer.latency_us.snapshot());
             // The flight ring and tail store, as a recorder scope.
             let (recorded, overwritten, capacity) = shard.tracer.recorder_stats();

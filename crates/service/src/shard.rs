@@ -4,12 +4,17 @@
 //! Nothing on the steady-state search path takes a lock:
 //!
 //! * **Admission** is a relaxed occupancy reservation (`fetch_add` against
-//!   the configured depth) followed by a lock-free ring push.
+//!   the configured depth) followed by a lock-free ring push; the
+//!   service's one all-or-nothing admission routine drives it for single
+//!   requests and batch slices alike.
 //! * **The worker** drains the ring with plain loads/stores (it is the
 //!   single consumer), parks only on the empty↔non-empty edge, and owns
 //!   the engine outright through an [`EngineCell`] — read-only searches
 //!   borrow the engine with zero atomic operations, writes bump a seqlock
-//!   epoch and republish the occupancy report.
+//!   epoch and republish the occupancy report. It treats both entry kinds
+//!   alike: expired entries shed at pickup, consecutive searches merge
+//!   into one engine call, and every entry is answered through
+//!   `RingEntry::answer`.
 //! * **Completion** fills an atomic slot and unparks at most one waiter.
 
 use std::collections::HashMap;
@@ -18,13 +23,10 @@ use std::time::Instant;
 
 use ca_ram_core::engine::{EngineOutcome, EngineReport, SearchEngine};
 use ca_ram_core::key::SearchKey;
-use ca_ram_core::telemetry::{HistogramSink, RequestTrace, SpanStage, TelemetrySink};
+use ca_ram_core::telemetry::{AtomicHistogram, SpanStage};
 
 use crate::config::ServiceConfig;
-use crate::request::{
-    AdmissionError, PendingRequest, PendingSubBatch, RingEntry, ServiceOp, ServiceReply,
-    ShedReason, Slot, Ticket,
-};
+use crate::request::{micros, RingEntry, ServiceOp, ServiceReply, ShedReason, TraceCtx};
 use crate::ring::{Parker, Ring};
 use crate::trace::{FlightEventKind, ShardTracer};
 
@@ -186,36 +188,22 @@ impl EngineCell {
     }
 }
 
-/// One member of a pending search run, after deadline filtering.
-enum SearchItem {
-    Single(PendingRequest),
-    Sub(PendingSubBatch),
-}
-
-impl SearchItem {
-    /// The sampled lifecycle trace, if this item carries one.
-    fn trace_mut(&mut self) -> Option<&mut RequestTrace> {
-        match self {
-            SearchItem::Single(request) => request.trace.as_deref_mut(),
-            SearchItem::Sub(sub) => sub.trace.as_deref_mut(),
-        }
-    }
-}
-
 /// Worker-local scratch reused across drains so the steady-state path
 /// allocates nothing.
 struct Scratch {
     entries: Vec<RingEntry>,
-    run: Vec<SearchItem>,
-    live: Vec<SearchItem>,
+    /// The pending run of consecutive search entries, in admission order.
+    run: Vec<RingEntry>,
     keys: Vec<SearchKey>,
     outcomes: Vec<EngineOutcome>,
-    /// Probe index per (item, key), flattened in `live` order.
+    /// Probe index per key of the run, flattened in `run` order.
     key_of: Vec<u32>,
+    /// Keys sharing each probe (coalescing runs only).
+    sharers: Vec<u32>,
     seen: HashMap<SearchKey, u32>,
-    /// Writes applied this drain, awaiting the group commit before their
-    /// replies are delivered (ack-after-commit).
-    writes: Vec<FinishedWrite>,
+    /// Writes applied this drain with their replies, awaiting the group
+    /// commit before the replies are delivered (ack-after-commit).
+    writes: Vec<(RingEntry, ServiceReply)>,
 }
 
 impl Scratch {
@@ -223,21 +211,14 @@ impl Scratch {
         Self {
             entries: Vec::with_capacity(batch_max),
             run: Vec::with_capacity(batch_max),
-            live: Vec::with_capacity(batch_max),
             keys: Vec::with_capacity(batch_max),
             outcomes: Vec::with_capacity(batch_max),
             key_of: Vec::with_capacity(batch_max),
+            sharers: Vec::new(),
             seen: HashMap::new(),
             writes: Vec::new(),
         }
     }
-}
-
-/// A write whose engine mutation has been applied but whose reply is held
-/// back until the drain's single group commit succeeds.
-struct FinishedWrite {
-    request: PendingRequest,
-    reply: ServiceReply,
 }
 
 /// One shard: a lock-free bounded MPSC ring in front of an exclusively
@@ -247,7 +228,6 @@ struct FinishedWrite {
 /// ring, so per-shard operation order is the admission order — a search
 /// submitted after an insert to the same shard observes it.
 pub(crate) struct Shard {
-    index: usize,
     ring: Ring<RingEntry>,
     parker: Parker,
     /// Ring entries currently reserved or queued; admission bound.
@@ -263,9 +243,11 @@ pub(crate) struct Shard {
     engine: EngineCell,
     limits: ShardLimits,
     pub(crate) stats: ShardStats,
-    /// Queue-depth (per drain) and queue-wait (per request, microseconds)
-    /// histograms; the wait histogram is rung 1 of the degradation ladder.
-    pub(crate) sink: HistogramSink,
+    /// Request-weighted queue depth, one sample per drain.
+    pub(crate) queue_depth: AtomicHistogram,
+    /// Queue wait, microseconds, one sample per request; rung 1 of the
+    /// degradation ladder sheds it.
+    pub(crate) queue_wait_us: AtomicHistogram,
     /// Observability v2: trace sampling, the flight-event ring, ladder
     /// transitions, and the SLO latency histogram.
     pub(crate) tracer: ShardTracer,
@@ -274,7 +256,6 @@ pub(crate) struct Shard {
 impl Shard {
     pub(crate) fn new(index: usize, engine: Box<dyn SearchEngine>, config: &ServiceConfig) -> Self {
         Self {
-            index,
             ring: Ring::new(config.queue_depth),
             parker: Parker::new(),
             len: AtomicUsize::new(0),
@@ -288,13 +269,14 @@ impl Shard {
                 coalesce_threshold: config.coalesce_threshold(),
             },
             stats: ShardStats::default(),
-            sink: HistogramSink::new(),
+            queue_depth: AtomicHistogram::new(),
+            queue_wait_us: AtomicHistogram::new(),
             #[allow(clippy::cast_possible_truncation)]
             tracer: ShardTracer::new(index as u32, config),
         }
     }
 
-    // ---- admission primitives (shared by singles and batches) ----------
+    // ---- admission primitives, driven by `SearchService::admit` --------
 
     /// Enters the submit window; `false` means the shard is closed.
     pub(crate) fn enter(&self) -> bool {
@@ -325,25 +307,34 @@ impl Shard {
         self.len.fetch_sub(1, Ordering::Relaxed);
     }
 
-    /// Publishes a reserved entry and wakes the worker if it sleeps.
-    /// Caller must hold the submit window and a reservation.
-    pub(crate) fn push_reserved(&self, entry: RingEntry) {
+    /// Publishes a reserved entry, wakes the worker if it sleeps, and
+    /// leaves the submit window. Caller must hold the window and a
+    /// reservation. The head-sampling decision is made here, once per
+    /// entry: one relaxed load when tracing is off, one fetch_add-and-mask
+    /// when on; the unsampled path carries `None`.
+    pub(crate) fn push_reserved(&self, mut entry: RingEntry) {
+        let trace = entry.trace();
+        *trace = self.tracer.start_trace();
+        if let Some(t) = trace.as_deref_mut() {
+            t.record(SpanStage::Enqueued);
+        }
         let requests = entry.requests();
-        if let RingEntry::Batch(sub) = &entry {
+        if matches!(entry, RingEntry::Batch(_)) {
             ShardStats::bump(&self.stats.batch_entries, 1);
-            ShardStats::bump(&self.stats.batch_keys, sub.keys.len() as u64);
+            ShardStats::bump(&self.stats.batch_keys, requests as u64);
         }
         // Counted before the publish so the consumer (which decrements
-        // only after popping the published entry) can never underflow it.
-        self.queued_requests
-            .fetch_add(entry.request_count(), Ordering::Relaxed);
+        // only after popping the published entry) can never underflow it,
+        // and so an answer never precedes its admission in `snapshot()`.
+        self.queued_requests.fetch_add(requests, Ordering::Relaxed);
+        ShardStats::bump(&self.stats.accepted, requests as u64);
         self.ring
             .push(entry)
             .unwrap_or_else(|_| unreachable!("reservation bounds ring occupancy"));
-        ShardStats::bump(&self.stats.accepted, requests);
         if self.parker.wake() {
             ShardStats::bump(&self.stats.unparks, 1);
         }
+        self.exit();
     }
 
     /// The configured admission bound, for error reporting.
@@ -361,74 +352,6 @@ impl Shard {
     pub(crate) fn note_rejected(&self, n: u64) {
         ShardStats::bump(&self.stats.rejected, n);
         self.tracer.note_reject(n);
-    }
-
-    /// Admission control: enqueue or refuse, never block.
-    pub(crate) fn try_submit(
-        &self,
-        op: ServiceOp,
-        deadline: Option<Instant>,
-    ) -> Result<Ticket, AdmissionError> {
-        if !self.enter() {
-            return Err(AdmissionError::ShuttingDown);
-        }
-        if !self.try_reserve() {
-            self.exit();
-            self.note_rejected(1);
-            return Err(AdmissionError::QueueFull {
-                shard: self.index,
-                depth: self.limits.queue_depth,
-            });
-        }
-        let ticket = self.enqueue(op, deadline);
-        self.exit();
-        Ok(ticket)
-    }
-
-    /// Backpressure: wait for queue space instead of refusing.
-    pub(crate) fn submit_blocking(
-        &self,
-        op: ServiceOp,
-        deadline: Option<Instant>,
-    ) -> Result<Ticket, AdmissionError> {
-        let mut backoff = 0u32;
-        loop {
-            if !self.enter() {
-                return Err(AdmissionError::ShuttingDown);
-            }
-            if self.try_reserve() {
-                let ticket = self.enqueue(op, deadline);
-                self.exit();
-                return Ok(ticket);
-            }
-            self.exit();
-            // No condvar to sleep on: poll with a yield-then-sleep backoff.
-            // Backpressure is the closed-loop/test path, not the hot one.
-            backoff = (backoff + 1).min(16);
-            if backoff < 8 {
-                std::thread::yield_now();
-            } else {
-                std::thread::sleep(std::time::Duration::from_micros(50));
-            }
-        }
-    }
-
-    fn enqueue(&self, op: ServiceOp, deadline: Option<Instant>) -> Ticket {
-        let slot = Slot::new();
-        // Head sampling: one relaxed load when tracing is off, one
-        // fetch_add-and-mask when on; the unsampled path carries `None`.
-        let mut trace = self.tracer.start_trace();
-        if let Some(t) = trace.as_deref_mut() {
-            t.record(SpanStage::Enqueued);
-        }
-        self.push_reserved(RingEntry::Single(PendingRequest {
-            op,
-            enqueued: Instant::now(),
-            deadline,
-            slot: std::sync::Arc::clone(&slot),
-            trace,
-        }));
-        Ticket::new(slot)
     }
 
     /// Marks the shard closed and wakes the worker; it drains what is
@@ -450,20 +373,9 @@ impl Shard {
         while let Some(entry) = self.ring.pop() {
             self.len.fetch_sub(1, Ordering::Relaxed);
             self.queued_requests
-                .fetch_sub(entry.request_count(), Ordering::Relaxed);
-            ShardStats::bump(&self.stats.shed_shutdown, entry.requests());
+                .fetch_sub(entry.requests(), Ordering::Relaxed);
             orphaned_entries += 1;
-            shed_requests += entry.requests();
-            match entry {
-                RingEntry::Single(mut request) => {
-                    self.finish_shed(request.trace.take(), now);
-                    request.complete(ServiceReply::Shed(ShedReason::Shutdown), now, false);
-                }
-                RingEntry::Batch(mut sub) => {
-                    self.finish_shed(sub.trace.take(), now);
-                    sub.shed(ShedReason::Shutdown);
-                }
-            }
+            shed_requests += self.shed(entry, ShedReason::Shutdown, now);
         }
         if orphaned_entries > 0 {
             // The worker exited with work still ringed — either it
@@ -475,10 +387,48 @@ impl Shard {
         }
     }
 
-    /// Terminates a sampled trace as shed and hands it to tail retention.
-    fn finish_shed(&self, trace: Option<Box<RequestTrace>>, now: Instant) {
-        if let Some(mut t) = trace {
+    /// Answers every request of `entry` with `Shed(reason)` without
+    /// touching the engine, and returns how many it shed. The shed counter
+    /// and the sampled trace's terminal land before the reply is published.
+    fn shed(&self, mut entry: RingEntry, reason: ShedReason, now: Instant) -> u64 {
+        let requests = entry.requests() as u64;
+        let counter = match reason {
+            ShedReason::DeadlineExpired => &self.stats.shed_deadline,
+            ShedReason::Shutdown => &self.stats.shed_shutdown,
+        };
+        ShardStats::bump(counter, requests);
+        if let Some(mut t) = entry.trace().take() {
             t.record_at(SpanStage::Shed, now, 0);
+            self.tracer.finish(*t);
+        }
+        entry.answer(now, false, |_| ServiceReply::Shed(reason));
+        requests
+    }
+
+    /// Per-request telemetry for an entry served at `done`: its queue
+    /// wait, one sample per request (shed to a counter on ladder rung 1),
+    /// and its end-to-end latency for the SLO histogram.
+    fn note_served(&self, entry: &RingEntry, picked_up: Instant, done: Instant, deep: bool) {
+        let requests = entry.requests() as u64;
+        let enqueued = entry.enqueued();
+        if deep {
+            self.queue_wait_us.record_n(
+                micros(picked_up.saturating_duration_since(enqueued)),
+                requests,
+            );
+        } else {
+            ShardStats::bump(&self.stats.telemetry_shed, requests);
+        }
+        self.tracer
+            .latency_us
+            .record_n(micros(done.saturating_duration_since(enqueued)), requests);
+    }
+
+    /// Terminates a served entry's sampled trace (after its reply went
+    /// out) and hands it to tail retention.
+    fn finish_completed(&self, trace: TraceCtx) {
+        if let Some(mut t) = trace {
+            t.record(SpanStage::Completed);
             self.tracer.finish(*t);
         }
     }
@@ -521,7 +471,7 @@ impl Shard {
                     Some(entry) => {
                         self.len.fetch_sub(1, Ordering::Relaxed);
                         self.queued_requests
-                            .fetch_sub(entry.request_count(), Ordering::Relaxed);
+                            .fetch_sub(entry.requests(), Ordering::Relaxed);
                         scratch.entries.push(entry);
                     }
                     None => break,
@@ -560,17 +510,23 @@ impl Shard {
                 }
                 continue;
             }
-            let requests: u64 = scratch.entries.iter().map(RingEntry::requests).sum();
-            self.sink.queue_depth((depth_at_drain as u64).max(requests));
+            let requests = scratch
+                .entries
+                .iter()
+                .map(RingEntry::requests)
+                .sum::<usize>() as u64;
+            self.queue_depth
+                .record((depth_at_drain as u64).max(requests));
             ShardStats::bump(&self.stats.batches, 1);
             self.stats.max_batch.fetch_max(requests, Ordering::Relaxed);
             self.process(&mut scratch, depth_at_drain.max(1));
         }
     }
 
-    /// Serves one drained set of entries in admission order: consecutive
-    /// searches (singles and batch slices alike) merge into one engine
-    /// batch call; writes are applied one at a time by the owning worker.
+    /// Serves one drained set of entries in admission order: entries whose
+    /// deadline passed are shed at pickup, consecutive searches (singles
+    /// and batch slices alike) merge into one engine batch call, and
+    /// writes are applied one at a time by the owning worker.
     fn process(&self, scratch: &mut Scratch, depth_at_drain: usize) {
         let deep_telemetry = depth_at_drain < self.limits.telemetry_shed_threshold;
         let coalesce = depth_at_drain >= self.limits.coalesce_threshold;
@@ -582,32 +538,37 @@ impl Shard {
         );
         let picked_up = Instant::now();
 
+        let mut shed_deadline = 0u64;
         let mut entries = std::mem::take(&mut scratch.entries);
         for mut entry in entries.drain(..) {
-            if let Some(t) = entry.trace_mut() {
+            if let Some(t) = entry.trace().as_deref_mut() {
                 t.record_at(SpanStage::PickedUp, picked_up, 0);
             }
-            match entry {
-                RingEntry::Single(request) if request.op.is_write() => {
-                    if !scratch.run.is_empty() {
-                        self.serve_search_run(scratch, picked_up, deep_telemetry, coalesce);
-                    }
-                    self.serve_write(scratch, request, picked_up, deep_telemetry);
+            if entry.deadline().is_some_and(|d| d <= picked_up) {
+                shed_deadline += self.shed(entry, ShedReason::DeadlineExpired, picked_up);
+            } else if let Some(op) = entry.write_op() {
+                if !scratch.run.is_empty() {
+                    self.serve_search_run(scratch, picked_up, deep_telemetry, coalesce);
                 }
-                RingEntry::Single(request) => scratch.run.push(SearchItem::Single(request)),
-                RingEntry::Batch(sub) => scratch.run.push(SearchItem::Sub(sub)),
+                self.serve_write(scratch, entry, op);
+            } else {
+                scratch.run.push(entry);
             }
         }
         scratch.entries = entries;
+        if shed_deadline > 0 {
+            self.tracer
+                .event(FlightEventKind::ShedDeadline, shed_deadline, 0);
+        }
         if !scratch.run.is_empty() {
             self.serve_search_run(scratch, picked_up, deep_telemetry, coalesce);
         }
-        self.complete_writes(scratch, picked_up);
+        self.complete_writes(scratch, picked_up, deep_telemetry);
     }
 
-    /// One consecutive run of searches: shed expired deadlines, optionally
-    /// dedup identical keys, and answer the rest through one batch call.
-    #[allow(clippy::too_many_lines)]
+    /// One consecutive run of search entries: map their keys onto probes
+    /// (deduplicating identical keys when coalescing), answer every probe
+    /// through one engine batch call, then deliver the replies.
     fn serve_search_run(
         &self,
         scratch: &mut Scratch,
@@ -615,85 +576,34 @@ impl Shard {
         deep_telemetry: bool,
         coalesce: bool,
     ) {
-        // Deadline filter.
-        scratch.live.clear();
-        let mut shed_deadline = 0u64;
-        let mut any_traced = false;
-        for item in scratch.run.drain(..) {
-            match item {
-                SearchItem::Single(mut request)
-                    if request.deadline.is_some_and(|d| d <= picked_up) =>
-                {
-                    ShardStats::bump(&self.stats.shed_deadline, 1);
-                    shed_deadline += 1;
-                    self.finish_shed(request.trace.take(), picked_up);
-                    request.complete(
-                        ServiceReply::Shed(ShedReason::DeadlineExpired),
-                        picked_up,
-                        false,
-                    );
-                }
-                SearchItem::Sub(mut sub) if sub.deadline.is_some_and(|d| d <= picked_up) => {
-                    ShardStats::bump(&self.stats.shed_deadline, sub.keys.len() as u64);
-                    shed_deadline += sub.keys.len() as u64;
-                    self.finish_shed(sub.trace.take(), picked_up);
-                    sub.shed(ShedReason::DeadlineExpired);
-                }
-                mut live => {
-                    any_traced |= live.trace_mut().is_some();
-                    scratch.live.push(live);
-                }
-            }
-        }
-        if shed_deadline > 0 {
-            self.tracer
-                .event(FlightEventKind::ShedDeadline, shed_deadline, 0);
-        }
-        if scratch.live.is_empty() {
-            return;
-        }
-
-        // Map every live key onto a (possibly shared) probe slot.
+        // Map every key onto a (possibly shared) probe slot.
         scratch.keys.clear();
         scratch.key_of.clear();
-        let mut total_keys = 0u64;
-        {
-            let keys = &mut scratch.keys;
-            let key_of = &mut scratch.key_of;
-            let mut map_key = |key: SearchKey| {
-                total_keys += 1;
-                if coalesce {
-                    let slot = *scratch.seen.entry(key).or_insert_with(|| {
-                        keys.push(key);
-                        u32::try_from(keys.len() - 1).expect("batch fits u32")
+        scratch.sharers.clear();
+        let mut any_traced = false;
+        for entry in &mut scratch.run {
+            any_traced |= entry.trace().is_some();
+            for &key in entry.keys() {
+                let probe = if coalesce {
+                    let probe = *scratch.seen.entry(key).or_insert_with(|| {
+                        scratch.keys.push(key);
+                        scratch.sharers.push(0);
+                        u32::try_from(scratch.keys.len() - 1).expect("batch fits u32")
                     });
-                    key_of.push(slot);
+                    scratch.sharers[probe as usize] += 1;
+                    probe
                 } else {
-                    keys.push(key);
-                    key_of.push(u32::try_from(keys.len() - 1).expect("batch fits u32"));
-                }
-            };
-            for item in &scratch.live {
-                match item {
-                    SearchItem::Single(request) => {
-                        let ServiceOp::Search(key) = request.op else {
-                            unreachable!("search run contains only searches");
-                        };
-                        map_key(key);
-                    }
-                    SearchItem::Sub(sub) => {
-                        for &key in &sub.keys {
-                            map_key(key);
-                        }
-                    }
-                }
+                    scratch.keys.push(key);
+                    u32::try_from(scratch.keys.len() - 1).expect("batch fits u32")
+                };
+                scratch.key_of.push(probe);
             }
         }
         if coalesce {
             scratch.seen.clear();
             ShardStats::bump(
                 &self.stats.coalesced,
-                total_keys - scratch.keys.len() as u64,
+                (scratch.key_of.len() - scratch.keys.len()) as u64,
             );
         }
         ShardStats::bump(&self.stats.searches, scratch.keys.len() as u64);
@@ -703,8 +613,8 @@ impl Shard {
         if any_traced {
             let engine_start = Instant::now();
             let merged = scratch.keys.len() as u64;
-            for item in &mut scratch.live {
-                if let Some(t) = item.trace_mut() {
+            for entry in &mut scratch.run {
+                if let Some(t) = entry.trace().as_deref_mut() {
                     t.record_at(SpanStage::Merged, engine_start, merged);
                     t.record_at(SpanStage::EngineStart, engine_start, 0);
                 }
@@ -720,102 +630,35 @@ impl Shard {
         // and the (always-on) SLO latency histogram.
         let engine_done = Instant::now();
         if any_traced {
-            for item in &mut scratch.live {
-                if let Some(t) = item.trace_mut() {
+            for entry in &mut scratch.run {
+                if let Some(t) = entry.trace().as_deref_mut() {
                     t.record_at(SpanStage::EngineDone, engine_done, 0);
                 }
             }
         }
 
-        // Distribute outcomes back, in admission order.
-        let shared = total_keys > scratch.keys.len() as u64;
+        // Deliver outcomes back, in admission order. A single is flagged
+        // `coalesced` only when another request shared its probe.
         let mut cursor = 0usize;
-        for item in scratch.live.drain(..) {
-            match item {
-                SearchItem::Single(mut request) => {
-                    let outcome = scratch.outcomes[scratch.key_of[cursor] as usize];
-                    cursor += 1;
-                    if deep_telemetry {
-                        let wait_us = picked_up
-                            .saturating_duration_since(request.enqueued)
-                            .as_micros()
-                            .min(u128::from(u64::MAX));
-                        #[allow(clippy::cast_possible_truncation)]
-                        self.sink.queue_wait(wait_us as u64);
-                    } else {
-                        ShardStats::bump(&self.stats.telemetry_shed, 1);
-                    }
-                    let total_us = engine_done
-                        .saturating_duration_since(request.enqueued)
-                        .as_micros()
-                        .min(u128::from(u64::MAX));
-                    #[allow(clippy::cast_possible_truncation)]
-                    self.tracer.latency_us.record(total_us as u64);
-                    let trace = request.trace.take();
-                    request.complete(ServiceReply::Search(outcome), picked_up, shared);
-                    if let Some(mut t) = trace {
-                        t.record(SpanStage::Completed);
-                        self.tracer.finish(*t);
-                    }
-                }
-                SearchItem::Sub(mut sub) => {
-                    for &position in &sub.positions {
-                        let outcome = scratch.outcomes[scratch.key_of[cursor] as usize];
-                        cursor += 1;
-                        sub.slot
-                            .write_reply(position, ServiceReply::Search(outcome));
-                    }
-                    let wait = picked_up.saturating_duration_since(sub.slot.enqueued());
-                    sub.slot.note_queue_wait(wait);
-                    if deep_telemetry {
-                        let wait_us = wait.as_micros().min(u128::from(u64::MAX));
-                        #[allow(clippy::cast_possible_truncation)]
-                        self.sink.queue_wait(wait_us as u64);
-                    } else {
-                        ShardStats::bump(&self.stats.telemetry_shed, sub.keys.len() as u64);
-                    }
-                    let total_us = engine_done
-                        .saturating_duration_since(sub.slot.enqueued())
-                        .as_micros()
-                        .min(u128::from(u64::MAX));
-                    #[allow(clippy::cast_possible_truncation)]
-                    self.tracer
-                        .latency_us
-                        .record_n(total_us as u64, sub.keys.len() as u64);
-                    let trace = sub.trace.take();
-                    sub.slot.finish_sub();
-                    if let Some(mut t) = trace {
-                        t.record(SpanStage::Completed);
-                        self.tracer.finish(*t);
-                    }
-                }
-            }
+        for mut entry in scratch.run.drain(..) {
+            let probes = &scratch.key_of[cursor..cursor + entry.requests()];
+            cursor += probes.len();
+            let coalesced = coalesce && scratch.sharers[probes[0] as usize] > 1;
+            self.note_served(&entry, picked_up, engine_done, deep_telemetry);
+            let trace = entry.trace().take();
+            entry.answer(picked_up, coalesced, |i| {
+                ServiceReply::Search(scratch.outcomes[probes[i] as usize])
+            });
+            self.finish_completed(trace);
         }
     }
 
     /// One write, applied in admission order by the engine-owning worker.
     /// The engine mutation happens here (so later searches in the same
-    /// drain observe it), but the reply is parked in `scratch.writes`
-    /// until [`Shard::complete_writes`] runs the drain's group commit.
-    fn serve_write(
-        &self,
-        scratch: &mut Scratch,
-        mut request: PendingRequest,
-        picked_up: Instant,
-        deep_telemetry: bool,
-    ) {
-        if request.deadline.is_some_and(|d| d <= picked_up) {
-            ShardStats::bump(&self.stats.shed_deadline, 1);
-            self.tracer.event(FlightEventKind::ShedDeadline, 1, 0);
-            self.finish_shed(request.trace.take(), picked_up);
-            request.complete(
-                ServiceReply::Shed(ShedReason::DeadlineExpired),
-                picked_up,
-                false,
-            );
-            return;
-        }
-        if let Some(t) = request.trace.as_deref_mut() {
+    /// drain observe it), but the reply is held in `scratch.writes` until
+    /// [`Shard::complete_writes`] runs the drain's group commit.
+    fn serve_write(&self, scratch: &mut Scratch, mut entry: RingEntry, op: ServiceOp) {
+        if let Some(t) = entry.trace().as_deref_mut() {
             // A write is its own single-request "batch".
             let now = Instant::now();
             t.record_at(SpanStage::Merged, now, 1);
@@ -823,7 +666,7 @@ impl Shard {
         }
         // SAFETY: this is the shard worker thread, the engine's sole owner.
         let reply = unsafe {
-            self.engine.write(|engine| match request.op {
+            self.engine.write(|engine| match op {
                 ServiceOp::Insert(record) => {
                     ShardStats::bump(&self.stats.inserts, 1);
                     ServiceReply::Insert(engine.insert(record))
@@ -839,20 +682,10 @@ impl Shard {
                 ServiceOp::Search(_) => unreachable!("writes only"),
             })
         };
-        if let Some(t) = request.trace.as_deref_mut() {
+        if let Some(t) = entry.trace().as_deref_mut() {
             t.record(SpanStage::EngineDone);
         }
-        if deep_telemetry {
-            let wait_us = picked_up
-                .saturating_duration_since(request.enqueued)
-                .as_micros()
-                .min(u128::from(u64::MAX));
-            #[allow(clippy::cast_possible_truncation)]
-            self.sink.queue_wait(wait_us as u64);
-        } else {
-            ShardStats::bump(&self.stats.telemetry_shed, 1);
-        }
-        scratch.writes.push(FinishedWrite { request, reply });
+        scratch.writes.push((entry, reply));
     }
 
     /// The drain's group commit: one durability barrier for every write
@@ -860,32 +693,24 @@ impl Shard {
     /// `commit` covers the whole batch — on a plain in-memory engine it is
     /// a no-op, on a durable engine it is one WAL write (and optional
     /// fsync) amortized over the batch.
-    fn complete_writes(&self, scratch: &mut Scratch, picked_up: Instant) {
+    fn complete_writes(&self, scratch: &mut Scratch, picked_up: Instant, deep_telemetry: bool) {
         if scratch.writes.is_empty() {
             return;
         }
         // SAFETY: this is the shard worker thread, the engine's sole owner.
         let committed = unsafe { self.engine.write(|engine| engine.commit()) };
-        for FinishedWrite { mut request, reply } in scratch.writes.drain(..) {
+        let done = Instant::now();
+        for (mut entry, reply) in scratch.writes.drain(..) {
             let reply = match (&committed, reply) {
                 // An insert the engine accepted but the backend failed to
                 // persist must not be acked as durable.
                 (Err(e), ServiceReply::Insert(Ok(()))) => ServiceReply::Insert(Err(e.clone())),
                 (_, reply) => reply,
             };
-            let total_us = request
-                .enqueued
-                .elapsed()
-                .as_micros()
-                .min(u128::from(u64::MAX));
-            #[allow(clippy::cast_possible_truncation)]
-            self.tracer.latency_us.record(total_us as u64);
-            let trace = request.trace.take();
-            request.complete(reply, picked_up, false);
-            if let Some(mut t) = trace {
-                t.record(SpanStage::Completed);
-                self.tracer.finish(*t);
-            }
+            self.note_served(&entry, picked_up, done, deep_telemetry);
+            let trace = entry.trace().take();
+            entry.answer(picked_up, false, |_| reply.clone());
+            self.finish_completed(trace);
         }
     }
 }

@@ -12,6 +12,7 @@ use ca_ram_core::index::RangeSelect;
 use ca_ram_core::key::{SearchKey, TernaryKey};
 use ca_ram_core::layout::{Record, RecordLayout};
 use ca_ram_core::table::{CaRamTable, TableConfig};
+use ca_ram_core::telemetry::{MetricsRegistry, ScopeKind};
 use ca_ram_service::{
     AdmissionError, SearchService, ServiceConfig, ServiceOp, ServiceReply, ShedReason,
 };
@@ -280,7 +281,11 @@ fn duplicate_inflight_keys_coalesce_past_the_ladder_rung() {
             coalesced_completions += 1;
         }
     }
-    let _ = distinct.wait();
+    let distinct = distinct.wait();
+    assert!(
+        !distinct.coalesced,
+        "a key no other queued request shared is not flagged as coalesced"
+    );
 
     let totals = service.snapshot().totals();
     assert!(
@@ -341,4 +346,22 @@ fn deep_telemetry_sheds_first_on_the_ladder() {
         let _ = service.search_sync(&SearchKey::new(0x9, KEY_BITS));
     }
     assert_eq!(service.snapshot().totals().telemetry_shed, 0);
+
+    // Queue waits are sampled per request: a batch contributes one sample
+    // per key, matching how `accepted` counts it.
+    let keys = vec![SearchKey::new(0x9, KEY_BITS); 8];
+    let batch = service.try_submit_batch(&keys).expect("room").wait();
+    assert_eq!(batch.shed(), 0);
+    let mut registry = MetricsRegistry::new();
+    service.export_metrics(&mut registry, "svc");
+    let waits = registry
+        .scope(ScopeKind::Shard, "svc/shard0")
+        .and_then(|scope| scope.histogram("queue_wait_us"))
+        .expect("shard scope exports queue waits")
+        .count();
+    assert_eq!(
+        waits,
+        service.snapshot().totals().accepted,
+        "one queue-wait sample per admitted request"
+    );
 }
