@@ -24,7 +24,7 @@ use ca_ram_workloads::bgp::generate;
 use ca_ram_workloads::prefix::Ipv4Prefix;
 
 fn main() -> Result<()> {
-    let prefixes_n: usize = Cli::from_env().parse("prefixes", 186_760)?;
+    let prefixes_n: usize = Cli::from_env("prefixes", "")?.parse("prefixes", 186_760)?;
     let config = bgp_config(prefixes_n, None);
     let table = generate(&config);
     let weights = vec![1.0; table.len()];

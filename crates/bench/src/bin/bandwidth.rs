@@ -4,14 +4,14 @@
 //!
 //! Usage: `bandwidth [--requests N]`
 
-use ca_ram_bench::{keys_per_sec, rule, time_engine_batch, Cli, Result};
+use ca_ram_bench::{measure, rule, Cli, Result, GATE_ROUNDS};
 use ca_ram_core::controller::{simulate, simulate_latency, QueueModelConfig};
 use ca_ram_hwmodel::{CaRamTiming, CamTiming};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 fn main() -> Result<()> {
-    let requests: usize = Cli::from_env().parse("requests", 50_000)?;
+    let requests: usize = Cli::from_env("requests", "")?.parse("requests", 50_000)?;
 
     println!("Sec. 3.4: CA-RAM bandwidth formula vs cycle-level simulation");
     println!("(DRAM-based slices: 200 MHz, nmem = 6 cycles; uniform random traffic)\n");
@@ -179,17 +179,21 @@ fn trace_driven(lookups: usize) -> Result<()> {
             .map(|&i| ca_ram_core::key::SearchKey::new(pack_text_key(&entries[i]), 128))
             .collect()
     };
-    // The shared driver warms up, asserts the serial and parallel batch
-    // paths agree bit-for-bit, and times each path.
-    let timing = time_engine_batch(&table, &keys, 0);
+    // The serial and parallel batch paths must agree bit-for-bit; then
+    // both are timed over the whole trace in the same rounds.
+    assert_eq!(
+        table.search_batch(&keys),
+        table.search_batch_parallel(&keys, 0),
+        "serial and parallel batch paths disagree"
+    );
+    let m = measure(
+        GATE_ROUNDS,
+        &mut [&mut |_| Ok(table.search_batch(&keys).len()), &mut |_| {
+            Ok(table.search_batch_parallel(&keys, 0).len())
+        }],
+    )?;
     println!("\nSimulator throughput over the same table (host-side, not modelled hardware):");
-    println!(
-        "  search_batch           {:>10.0} keys/s",
-        keys_per_sec(keys.len(), timing.serial_secs)
-    );
-    println!(
-        "  search_batch_parallel  {:>10.0} keys/s",
-        keys_per_sec(keys.len(), timing.parallel_secs)
-    );
+    println!("  search_batch           {:.0} keys/s", m.rate(0));
+    println!("  search_batch_parallel  {:.0} keys/s", m.rate(1));
     Ok(())
 }

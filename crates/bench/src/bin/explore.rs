@@ -107,7 +107,7 @@ fn dominates(a: &DesignCandidate, b: &DesignCandidate) -> bool {
 }
 
 fn main() -> Result<()> {
-    let cli = Cli::from_env();
+    let cli = Cli::from_env("workload prefixes", "")?;
     let workload = cli.value("workload").unwrap_or("ip").to_string();
     let (keys, key_bits, hash_low): (Vec<(TernaryKey, u64)>, u32, u32) = match workload.as_str() {
         "ip" => {

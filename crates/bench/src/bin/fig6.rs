@@ -6,10 +6,11 @@
 //! processor overhead), TCAMs searched whole. CA-RAM runs at 200 MHz,
 //! TCAMs at 143 MHz.
 
-use ca_ram_bench::rule;
+use ca_ram_bench::{rule, Cli, Result};
 use ca_ram_hwmodel::{AreaModel, CaRamGeometry, CamGeometry, CellKind, Megahertz, PowerModel};
 
-fn main() {
+fn main() -> Result<()> {
+    Cli::from_env("", "")?;
     let area = AreaModel::new();
     let power = PowerModel::new();
 
@@ -98,4 +99,5 @@ fn main() {
         power.caram_standby_power(&caram).value()
     );
     println!("(not in the paper; the idle-power gap is even wider than the active one)");
+    Ok(())
 }

@@ -13,7 +13,7 @@ use ca_ram_bench::{rule, trigram_config, Cli, Result};
 use ca_ram_workloads::trigram::generate;
 
 fn main() -> Result<()> {
-    let cli = Cli::from_env();
+    let cli = Cli::from_env("entries seed", "")?;
     let entries: usize = cli.parse("entries", 5_385_231)?;
     let seed: u64 = cli.parse("seed", 0x5F19)?;
     let config = trigram_config(entries, Some(seed));

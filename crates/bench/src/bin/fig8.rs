@@ -11,12 +11,13 @@
 //!
 //! Results are printed relative to the TCAM/CAM baseline, as in the figure.
 
-use ca_ram_bench::rule;
+use ca_ram_bench::{rule, Cli, Result};
 use ca_ram_hwmodel::{
     AreaModel, CaRamGeometry, CaRamTiming, CamGeometry, CamTiming, CellKind, Megahertz, PowerModel,
 };
 
-fn main() {
+fn main() -> Result<()> {
+    Cli::from_env("", "")?;
     let area = AreaModel::new();
     let power = PowerModel::new();
 
@@ -94,4 +95,5 @@ fn main() {
         a_cam.value() / a_caram_tri.value()
     );
     println!("(No power comparison, as in the paper: the 1992 CAM lacks modern power reduction.)");
+    Ok(())
 }

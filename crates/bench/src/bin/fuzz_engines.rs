@@ -107,7 +107,7 @@ fn record_cell(
 
 #[allow(clippy::too_many_lines)]
 fn main() -> Result<()> {
-    let cli = Cli::from_env();
+    let cli = Cli::from_env("seed ops time-box-ms out scenario engine", "")?;
     let seed: u64 = cli.parse("seed", 0)?;
     let ops: usize = cli.parse("ops", 20_000)?;
     let time_box_ms: u64 = cli.parse("time-box-ms", 300_000)?;

@@ -8,9 +8,10 @@
 //! atomically (temp file + rename), so an interrupted run never leaves a
 //! truncated transcript behind.
 //!
-//! Usage: `repro_all [--entries N] [--prefixes N]`
+//! Usage: `repro_all [--entries N] [--prefixes N] [--seed S] [--ops N]
+//! [--time-box-ms N]`
 //! (`--entries` scales the trigram experiments; the default is the paper's
-//! full 5,385,231.)
+//! full 5,385,231. Each child gets only the flags it accepts.)
 
 use std::process::Command;
 
@@ -55,9 +56,10 @@ fn run(bin: &str, args: &[String], transcript: &mut String) -> Result<()> {
 }
 
 fn main() -> Result<()> {
-    let cli = Cli::from_env();
+    let cli = Cli::from_env("entries prefixes seed ops time-box-ms", "")?;
     let tri_args = cli.passthrough(&["entries", "seed"]);
     let ip_args = cli.passthrough(&["prefixes", "seed"]);
+    let prefix_args = cli.passthrough(&["prefixes"]);
     // Keep the differential sweep inside the suite's time budget: a
     // shorter per-scenario stream than the CI gate, same seeding.
     let mut fuzz_args = cli.passthrough(&["seed", "ops", "time-box-ms"]);
@@ -75,9 +77,9 @@ fn main() -> Result<()> {
         run("fig8", &[], &mut transcript)?;
         run("bandwidth", &[], &mut transcript)?;
         run("software_baseline", &[], &mut transcript)?;
-        run("ablation", &ip_args, &mut transcript)?;
+        run("ablation", &prefix_args, &mut transcript)?;
         run("updates", &[], &mut transcript)?;
-        run("explore", &ip_args, &mut transcript)?;
+        run("explore", &prefix_args, &mut transcript)?;
         run("perf_smoke", &ip_args, &mut transcript)?;
         run("telemetry_report", &ip_args, &mut transcript)?;
         run("serve_bench", &["--smoke".to_string()], &mut transcript)?;

@@ -22,7 +22,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 fn main() -> Result<()> {
-    let cli = Cli::from_env();
+    let cli = Cli::from_env("records lookups", "")?;
     let records: usize = cli.parse("records", 1_000_000)?;
     let lookups: usize = cli.parse("lookups", 50_000)?;
 

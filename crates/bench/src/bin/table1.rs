@@ -7,7 +7,7 @@
 //! predicts ("much of this complexity will be removed") and the Synopsys
 //! worst-case dynamic power checkpoint.
 
-use ca_ram_bench::rule;
+use ca_ram_bench::{rule, Cli, Result};
 use ca_ram_hwmodel::synth::{MatchProcessorParams, SynthesisModel};
 use ca_ram_hwmodel::Nanoseconds;
 
@@ -47,7 +47,8 @@ fn print_report(title: &str, params: &MatchProcessorParams) {
     );
 }
 
-fn main() {
+fn main() -> Result<()> {
+    Cli::from_env("", "")?;
     println!("Table 1: Cell count, area, and delay for each stage of match processing\n");
     let proto = MatchProcessorParams::prototype();
     print_report(
@@ -72,4 +73,5 @@ fn main() {
         "Application-specific variant (fixed 128-bit binary keys, C = 12288):",
         &MatchProcessorParams::fixed_width(12_288, 128, false),
     );
+    Ok(())
 }

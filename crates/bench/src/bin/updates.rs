@@ -24,7 +24,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 fn main() -> Result<()> {
-    let cli = Cli::from_env();
+    let cli = Cli::from_env("prefixes events", "")?;
     let prefixes_n: usize = cli.parse("prefixes", 30_000)?;
     let events: usize = cli.parse("events", 20_000)?;
     let config = BgpConfig::scaled(prefixes_n);

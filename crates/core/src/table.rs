@@ -1313,9 +1313,6 @@ impl CaRamTable {
     /// are intentionally left unchanged.
     #[allow(clippy::missing_panics_doc)] // internal expects: bounds checked at new()
     pub fn delete(&mut self, key: &crate::key::TernaryKey) -> u32 {
-        // A post-delete insert may place a shorter prefix upstream of an
-        // evicted longer one; drop to full-reach LPM scans from here on.
-        self.full_scan = true;
         let search = key.to_search_key();
         let homes = self.home_buckets(&search);
         let mut removed = 0u32;
@@ -1368,6 +1365,12 @@ impl CaRamTable {
                 }
             }
             None => {}
+        }
+        // A post-delete insert may place a shorter prefix upstream of an
+        // evicted longer one; drop to full-reach LPM scans from here on. A
+        // delete that removed nothing left every chain as it was.
+        if removed > 0 {
+            self.full_scan = true;
         }
         removed
     }
@@ -2006,9 +2009,18 @@ mod tests {
         t.insert_sorted(Record::new(b24, 0)).unwrap();
         t.insert_sorted(Record::new(c22, 22)).unwrap();
         assert_eq!(t.bucket_occupancy(2), 1, "/22 spilled to bucket 2");
+        // Deleting a key that was never stored reorders no chain: searches
+        // keep stopping at the first match, with unchanged accesses.
+        let probes = [0x0100_0101, 0x0100_0501, 0x0200_0000].map(|a| SearchKey::new(a, 32));
+        let before = probes.map(|k| t.search(&k));
+        assert_eq!(before[0].memory_accesses, 1, "the /24 hits its home bucket");
+        assert_eq!(t.delete(&prefix(0x0100_0101, 32)), 0, "never stored");
+        assert!(!t.full_scan());
+        assert_eq!(probes.map(|k| t.search(&k)), before);
         // Delete one /24, then insert a /16 that also matches the /22's
         // space; it lands in bucket 1, upstream of the /22.
         assert_eq!(t.delete(&a24), 1, "a24 present");
+        assert!(t.full_scan());
         let p16 = prefix(0x0100_0000, 16);
         t.insert_sorted(Record::new(p16, 16)).unwrap();
         // An address inside the /22: LPM must still find the /22.

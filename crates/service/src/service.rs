@@ -11,7 +11,6 @@ use ca_ram_core::engine::{EngineOutcome, EngineReport, SearchEngine};
 use ca_ram_core::error::{CaRamError, Result};
 use ca_ram_core::key::{SearchKey, TernaryKey};
 use ca_ram_core::layout::Record;
-use ca_ram_core::pattern::QueryPlan;
 use ca_ram_core::telemetry::{
     Histogram, MetricsRegistry, RequestTrace, ScopeKind, SloPolicy, SloReport, SloTracker,
 };
@@ -406,32 +405,6 @@ impl SearchService {
             ServiceReply::Search(outcome) => outcome,
             other => panic!("search answered with {other:?}"),
         }
-    }
-
-    /// Synchronous execution of a compiled multi-probe query plan (the
-    /// pattern compiler's nearest-match ladders and range probes): probes
-    /// in plan order through the service, first hit wins, memory accesses
-    /// summed across every probe issued — the same contract as
-    /// [`QueryPlan::execute`] against a raw engine, but with each probe
-    /// individually admitted, routed, and counted by the shard it lands on.
-    ///
-    /// # Panics
-    ///
-    /// As [`SearchService::search_sync`].
-    #[must_use]
-    pub fn search_plan_sync(&self, plan: &QueryPlan) -> EngineOutcome {
-        let mut accesses = 0u32;
-        for probe in plan.probes() {
-            let outcome = self.search_sync(probe);
-            accesses = accesses.saturating_add(outcome.memory_accesses);
-            if outcome.hit.is_some() {
-                return EngineOutcome {
-                    hit: outcome.hit,
-                    memory_accesses: accesses,
-                };
-            }
-        }
-        EngineOutcome::miss(accesses)
     }
 
     /// Synchronous insert (append placement).
@@ -960,13 +933,15 @@ fn splitmix64(mut x: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::ServiceEngine;
     use ca_ram_core::pattern::{compile, GeometryHint, Pattern, PatternSpec};
 
     #[test]
-    fn search_plan_sync_walks_the_ladder_and_sums_accesses() {
+    fn plan_execute_on_the_service_walks_the_ladder_and_sums_accesses() {
         // A one-shard service over a compiled nearest-match dictionary:
-        // the service must resolve a misspelling through the multi-probe
-        // plan exactly as a raw engine would.
+        // `QueryPlan::execute` on the service engine must resolve a
+        // misspelling through the multi-probe plan exactly as on a raw
+        // engine, each probe admitted and served by the shard.
         let plan = compile(&PatternSpec::dictionary(4, 1), &GeometryHint::default())
             .expect("dictionary spec compiles");
         let table = plan.build_table().expect("plan builds");
@@ -974,7 +949,8 @@ mod tests {
             shards: 1,
             ..ServiceConfig::default()
         };
-        let service = SearchService::new(config, vec![Box::new(table)]).expect("valid service");
+        let engine = ServiceEngine::new(config, vec![Box::new(table)]).expect("valid service");
+        let service = engine.service();
         let word = u128::from_le_bytes(*b"word\0\0\0\0\0\0\0\0\0\0\0\0");
         for rec in plan
             .lower_entry(&Pattern::Exact { value: word }, 7)
@@ -990,7 +966,7 @@ mod tests {
             })
             .expect("ladder lowers");
         assert!(ladder.probes().len() > 1, "exact probe plus unit masks");
-        let outcome = service.search_plan_sync(&ladder);
+        let outcome = ladder.execute(&engine);
         assert_eq!(outcome.hit.map(|h| h.data), Some(7));
         // The exact probe misses first, so accesses include both probes.
         let exact_only = service.search_sync(&ladder.probes()[0]);
@@ -998,16 +974,14 @@ mod tests {
         assert!(outcome.memory_accesses >= exact_only.memory_accesses);
         // A query past the distance budget misses through the whole ladder.
         let far = word ^ 0x0101; // two units substituted
-        let miss = service.search_plan_sync(
-            &plan
-                .lower_query(&Pattern::NearestMatch {
-                    value: far,
-                    max_distance: 1,
-                })
-                .expect("ladder lowers"),
-        );
+        let miss = plan
+            .lower_query(&Pattern::NearestMatch {
+                value: far,
+                max_distance: 1,
+            })
+            .expect("ladder lowers")
+            .execute(&engine);
         assert!(miss.hit.is_none());
-        service.shutdown();
     }
 
     #[test]
