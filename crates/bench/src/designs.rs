@@ -1,9 +1,11 @@
 //! The design points of the paper's two application studies, and builders
-//! that realize them as `CaRamTable`s over the synthetic workloads.
+//! that realize them as `CaRamTable`s over the synthetic workloads; plus
+//! the shard geometry of the serving and durability benches.
 
 use ca_ram_core::index::{DjbHash, RangeSelect};
 use ca_ram_core::layout::{Record, RecordLayout};
 use ca_ram_core::probe::ProbePolicy;
+use ca_ram_core::storage::{IndexSpec, TableSpec};
 use ca_ram_core::table::{Arrangement, CaRamTable, OverflowPolicy, TableConfig};
 use ca_ram_workloads::prefix::Ipv4Prefix;
 use ca_ram_workloads::trigram::text_ternary_key;
@@ -186,6 +188,35 @@ pub fn build_trigram_table(design: &DesignPoint) -> CaRamTable {
     };
     CaRamTable::new(config, Box::new(DjbHash::new(32, 16)))
         .expect("design points are valid configurations")
+}
+
+/// The table one serving shard (or one durability-bench table) holds:
+/// `records` binary 64-bit keys with 64-bit data, 8 slots per row, linear
+/// probing indexed by the key's low bits. The 3x row headroom over a
+/// uniform split absorbs routing imbalance, so every insert lands before
+/// the probe sequence exhausts.
+#[must_use]
+pub fn shard_spec(records: usize) -> TableSpec {
+    const SLOTS_PER_ROW: u32 = 8;
+    let layout = RecordLayout::new(64, false, 64);
+    let buckets = (records * 3).div_ceil(SLOTS_PER_ROW as usize).max(16);
+    let rows_log2 = buckets.next_power_of_two().trailing_zeros();
+    TableSpec {
+        config: TableConfig {
+            rows_log2,
+            row_bits: SLOTS_PER_ROW * layout.slot_bits(),
+            layout,
+            arrangement: Arrangement::Horizontal(1),
+            probe: ProbePolicy::Linear,
+            overflow: OverflowPolicy::Probe {
+                max_steps: u32::MAX,
+            },
+        },
+        index: IndexSpec::RangeSelect {
+            low: 0,
+            count: rows_log2,
+        },
+    }
 }
 
 /// Inserts prefixes (already sorted in priority order) with the given
