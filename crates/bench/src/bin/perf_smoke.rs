@@ -52,8 +52,8 @@ fn fold_batch(t: &CaRamTable, keys: &[SearchKey]) -> usize {
 }
 
 /// Measures one pattern-compiled workload: walk every query plan once to
-/// count probes and hits, then time `execute` with the plans split across
-/// the rounds.
+/// count probes, rows read and hits, then time `execute` with the plans
+/// split across the rounds.
 fn measure_plans(
     scenario: &'static str,
     entries: usize,
@@ -62,10 +62,13 @@ fn measure_plans(
 ) -> Result<PatternThroughput> {
     let mut hits = 0usize;
     let mut probes = 0usize;
+    let mut accesses = 0u64;
     for plan in plans {
         for probe in plan.probes() {
             probes += 1;
-            if table.search(probe).hit.is_some() {
+            let outcome = table.search(probe);
+            accesses += u64::from(outcome.memory_accesses);
+            if outcome.hit.is_some() {
                 hits += 1;
                 break;
             }
@@ -93,6 +96,7 @@ fn measure_plans(
         queries,
         probes_per_query: probes as f64 / plans.len() as f64,
         hit_rate: hits as f64 / plans.len() as f64,
+        mean_accesses: accesses as f64 / plans.len() as f64,
     })
 }
 
@@ -328,23 +332,24 @@ fn main() -> Result<()> {
     // and multi-probe nearest match), reported alongside the designs.
     let patterns = pattern_workloads(lookups.min(20_000), seed)?;
     println!(
-        "{:^14} {:>8} {:>8} {:>14} {:>7} {:>12} {:>9}",
-        "Pattern", "entries", "lookups", "keys/s", "spread", "probes/qry", "hit rate"
+        "{:^14} {:>8} {:>8} {:>14} {:>7} {:>12} {:>9} {:>9}",
+        "Pattern", "entries", "lookups", "keys/s", "spread", "probes/qry", "hit rate", "rows/qry"
     );
-    rule(80);
+    rule(90);
     for p in &patterns {
         println!(
-            "{:^14} {:>8} {:>8} {:>14.0} {:>7.3} {:>12.3} {:>9.4}",
+            "{:^14} {:>8} {:>8} {:>14.0} {:>7.3} {:>12.3} {:>9.4} {:>9.3}",
             p.scenario,
             p.entries,
             p.lookups,
             p.queries.median,
             p.queries.spread(),
             p.probes_per_query,
-            p.hit_rate
+            p.hit_rate,
+            p.mean_accesses
         );
     }
-    rule(80);
+    rule(90);
 
     let report = SearchReport {
         prefixes: prefixes_n,

@@ -6,7 +6,10 @@
 //! Each child's output is echoed live-ish (after the child exits) and
 //! accumulated; the full transcript is written to `repro_output.txt`
 //! atomically (temp file + rename), so an interrupted run never leaves a
-//! truncated transcript behind.
+//! truncated transcript behind. A child that fails to launch or exits
+//! non-zero does not stop the suite: every child runs, the transcript is
+//! written, and then the run exits non-zero naming every child that
+//! failed (as a bench's gates do).
 //!
 //! Usage: `repro_all [--entries N] [--prefixes N] [--seed S] [--ops N]
 //! [--time-box-ms N]`
@@ -15,7 +18,7 @@
 
 use std::process::Command;
 
-use ca_ram_bench::{write_text_atomic, BenchError, Cli, Result};
+use ca_ram_bench::{ensure, write_text_atomic, BenchError, Cli, Result};
 
 fn run(bin: &str, args: &[String], transcript: &mut String) -> Result<()> {
     let banner = format!("\n==================== {bin} ====================\n");
@@ -67,35 +70,48 @@ fn main() -> Result<()> {
         fuzz_args.extend(["--ops".to_string(), "5000".to_string()]);
     }
 
+    let smoke = ["--smoke".to_string()];
+    let children: [(&str, &[String]); 15] = [
+        ("table1", &[]),
+        ("table2", &ip_args),
+        ("table3", &tri_args),
+        ("fig6", &[]),
+        ("fig7", &tri_args),
+        ("fig8", &[]),
+        ("bandwidth", &[]),
+        ("software_baseline", &[]),
+        ("ablation", &prefix_args),
+        ("updates", &[]),
+        ("explore", &prefix_args),
+        ("perf_smoke", &ip_args),
+        ("telemetry_report", &ip_args),
+        ("serve_bench", &smoke),
+        ("fuzz_engines", &fuzz_args),
+    ];
     let mut transcript = String::new();
-    let result = (|| -> Result<()> {
-        run("table1", &[], &mut transcript)?;
-        run("table2", &ip_args, &mut transcript)?;
-        run("table3", &tri_args, &mut transcript)?;
-        run("fig6", &[], &mut transcript)?;
-        run("fig7", &tri_args, &mut transcript)?;
-        run("fig8", &[], &mut transcript)?;
-        run("bandwidth", &[], &mut transcript)?;
-        run("software_baseline", &[], &mut transcript)?;
-        run("ablation", &prefix_args, &mut transcript)?;
-        run("updates", &[], &mut transcript)?;
-        run("explore", &prefix_args, &mut transcript)?;
-        run("perf_smoke", &ip_args, &mut transcript)?;
-        run("telemetry_report", &ip_args, &mut transcript)?;
-        run("serve_bench", &["--smoke".to_string()], &mut transcript)?;
-        run("fuzz_engines", &fuzz_args, &mut transcript)?;
-        Ok(())
-    })();
+    let mut failed = Vec::new();
+    for (bin, args) in children {
+        if let Err(e) = run(bin, args, &mut transcript) {
+            failed.push(e.to_string());
+        }
+    }
 
-    // Persist whatever ran, even on a failing child, then surface the
-    // child's error.
-    if result.is_ok() {
-        transcript.push_str("\nAll reproduction targets completed.\n");
-    }
+    let summary = if failed.is_empty() {
+        "All reproduction targets completed.".to_string()
+    } else {
+        format!(
+            "{} of {} children failed: {}",
+            failed.len(),
+            children.len(),
+            failed.join("; ")
+        )
+    };
+    transcript.push_str(&format!("\n{summary}\n"));
     write_text_atomic("repro_output.txt", &transcript)?;
-    if result.is_ok() {
-        println!("\nAll reproduction targets completed.");
-        println!("(wrote repro_output.txt)");
-    }
-    result
+    println!("\n{summary}");
+    println!("(wrote repro_output.txt)");
+    ensure(
+        failed.is_empty(),
+        &format!("children failed: {}", failed.join("; ")),
+    )
 }

@@ -319,6 +319,9 @@ pub struct PatternThroughput {
     pub probes_per_query: f64,
     /// Fraction of queries that found a match.
     pub hit_rate: f64,
+    /// Mean rows read per query over the probes it issued (measured
+    /// AMAL of the compiled table, as `mean_accesses` for a design).
+    pub mean_accesses: f64,
 }
 
 /// The `BENCH_search.json` report: simulator throughput per design.
@@ -405,13 +408,14 @@ impl SearchReport {
                 json,
                 "    {{\"scenario\": \"{}\", \"entries\": {}, \"lookups\": {}, \
                  \"keys_per_sec\": {}, \"probes_per_query\": {:.4}, \
-                 \"hit_rate\": {:.4}}}{}",
+                 \"hit_rate\": {:.4}, \"mean_memory_accesses\": {:.4}}}{}",
                 r.scenario,
                 r.entries,
                 r.lookups,
                 r.queries.to_json(1),
                 r.probes_per_query,
                 r.hit_rate,
+                r.mean_accesses,
                 if i + 1 == self.patterns.len() {
                     ""
                 } else {
@@ -489,6 +493,7 @@ mod tests {
                 queries: stats(1_234.5),
                 probes_per_query: 2.5,
                 hit_rate: 0.875,
+                mean_accesses: 92.6381,
             }],
         };
         assert!((report.min_simd_speedup().median - 1.25).abs() < 1e-12);
@@ -514,7 +519,7 @@ mod tests {
         assert!(json.contains("\"scenario\": \"packet-class\""));
         assert!(json.contains("\"keys_per_sec\": {\"median\": 1234.5,"));
         assert!(json.contains("\"probes_per_query\": 2.5000"));
-        assert!(json.contains("\"hit_rate\": 0.8750"));
+        assert!(json.contains("\"hit_rate\": 0.8750, \"mean_memory_accesses\": 92.6381}"));
         assert!(json.ends_with("  ]\n}\n"));
     }
 

@@ -23,12 +23,21 @@ pub fn low_mask(bits: u32) -> u128 {
 
 /// Reads a `width`-bit field starting at bit `offset` from `words`.
 ///
+/// A field of up to 128 bits spans at most three words, so the read is
+/// one unaligned window with no loop: the field's first word, the word
+/// after it (clamped to the field's last word) and its last word are
+/// loaded, shifted into place and masked. A field that ends a row never
+/// reads past it, and a word loaded twice lands above `width`, where the
+/// mask drops it. Record decode ([`crate::layout::RecordLayout::decode_slot`],
+/// so `extract` on unaligned slots and `bucket_entries`) reads every field
+/// through this; the match step's compare uses the 64-bit twin
+/// [`read_u64`].
+///
 /// # Panics
 ///
 /// Panics if `width > 128` or the field extends past the end of `words`.
 #[must_use]
 #[inline]
-#[allow(clippy::cast_possible_truncation)] // offset % 64 < 64; masked chunks
 pub fn read_bits(words: &[u64], offset: usize, width: u32) -> u128 {
     assert!(width <= 128, "field width {width} exceeds 128 bits");
     if width == 0 {
@@ -40,25 +49,37 @@ pub fn read_bits(words: &[u64], offset: usize, width: u32) -> u128 {
         "field [{offset}, {end}) extends past the row ({} bits)",
         words.len() * 64
     );
-    let mut word_idx = offset / 64;
-    let mut bit_idx = (offset % 64) as u32;
-    // Fast path: the field lives entirely in one word. Slot layouts are
-    // word-aligned in the common designs (e.g. 64-bit IP slots), so the
-    // search hot path takes this branch for every key/mask/data read.
-    if bit_idx + width <= 64 {
-        return u128::from(words[word_idx] >> bit_idx) & low_mask(width);
-    }
-    let mut value: u128 = 0;
-    let mut got: u32 = 0;
-    while got < width {
-        let take = (64 - bit_idx).min(width - got);
-        let chunk = u128::from(words[word_idx] >> bit_idx) & low_mask(take);
-        value |= chunk << got;
-        got += take;
-        bit_idx = 0;
-        word_idx += 1;
-    }
-    value
+    let first = offset / 64;
+    let last = (end - 1) / 64;
+    let shift = offset % 64;
+    let low = u128::from(words[first]) | (u128::from(words[(first + 1).min(last)]) << 64);
+    // The last word starts at bit `128 - shift` of the window when the
+    // field spans three words; shifting in two steps keeps `shift == 0`
+    // (at most two words) from overflowing.
+    let high = u128::from(words[last]);
+    ((low >> shift) | (high << 1 << (127 - shift))) & low_mask(width)
+}
+
+/// Reads a field of 1 to 64 bits starting at bit `offset` from `words`:
+/// the 64-bit twin of [`read_bits`], two word loads (the field's first
+/// and last word) and no loop. The generic slot compare reads its key and
+/// don't-care fields through this, at most 64 bits at a time, so it stays
+/// small enough to inline into the compare loop.
+///
+/// # Panics
+///
+/// Panics if `width` is 0 or above 64, or if the field extends past the
+/// end of `words` (as an index out of bounds).
+#[must_use]
+#[inline]
+pub fn read_u64(words: &[u64], offset: usize, width: u32) -> u64 {
+    assert!((1..=64).contains(&width), "word field width not in 1..=64");
+    let shift = offset % 64;
+    let last = (offset + width as usize - 1) / 64;
+    // The last word starts at bit `64 - shift` of the window; when the
+    // field fits in its first word, that word's copy lands above `width`.
+    let window = (words[offset / 64] >> shift) | (words[last] << 1 << (63 - shift));
+    window & (u64::MAX >> (64 - width))
 }
 
 /// Writes a `width`-bit field starting at bit `offset` into `words`.
@@ -164,7 +185,8 @@ mod tests {
         assert_eq!(row[0], u64::MAX);
     }
 
-    /// Bit-at-a-time reference for cross-checking both `read_bits` paths.
+    /// Bit-at-a-time reference for cross-checking `read_bits` and
+    /// `read_u64`.
     fn read_bits_reference(words: &[u64], offset: usize, width: u32) -> u128 {
         let mut v = 0u128;
         for i in 0..width as usize {
@@ -177,8 +199,8 @@ mod tests {
     #[test]
     fn fast_and_general_paths_agree() {
         // A fixed pseudo-random row; every (offset, width) combination with
-        // width <= 64 exercises either the single-word fast path or the
-        // straddling loop, and both must agree with the reference.
+        // width <= 64 is a field inside one word or straddling two, and
+        // both window reads must agree with the reference.
         let row: Vec<u64> = (0..4u64)
             .map(|i| 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(i * 2 + 1))
             .collect();
@@ -191,6 +213,11 @@ mod tests {
                     read_bits(&row, offset, width),
                     read_bits_reference(&row, offset, width),
                     "offset {offset} width {width}"
+                );
+                assert_eq!(
+                    u128::from(read_u64(&row, offset, width)),
+                    read_bits_reference(&row, offset, width),
+                    "read_u64 offset {offset} width {width}"
                 );
                 // Round-trip through write_bits on a dirty row.
                 let mut scratch = vec![u64::MAX; 4];
@@ -225,10 +252,12 @@ mod tests {
         // ladder, at EVERY offset of a 9-word row. That covers fields
         // that start at, end at, and straddle word boundaries and the
         // 512-bit cache-line boundary (rows are line-aligned, so bit 512
-        // is a line edge). Reads must agree with the bit-at-a-time
-        // reference; writes must produce the reference writer's whole-row
-        // image on clean and dirty backgrounds alike (no neighbouring bit
-        // disturbed, no stale bit surviving).
+        // is a line edge), up to fields that end on the row's last bit,
+        // where a window read has no padding to lean on. Reads must agree
+        // with the bit-at-a-time reference; writes must produce the
+        // reference writer's whole-row image on clean and dirty
+        // backgrounds alike (no neighbouring bit disturbed, no stale bit
+        // surviving).
         let row: Vec<u64> = (0..9u64)
             .map(|i| {
                 0xA5A5_5A5A_DEAD_BEEFu64
@@ -244,6 +273,13 @@ mod tests {
                     read_bits_reference(&row, offset, width),
                     "read offset {offset} width {width}"
                 );
+                if width <= 64 {
+                    assert_eq!(
+                        u128::from(read_u64(&row, offset, width)),
+                        read_bits_reference(&row, offset, width),
+                        "read_u64 offset {offset} width {width}"
+                    );
+                }
                 // A value with structure on both ends of the field.
                 let v =
                     read_bits(&row, offset, width) ^ (low_mask(width) & !(low_mask(width) >> 3));
@@ -274,6 +310,13 @@ mod tests {
     fn out_of_bounds_read_rejected() {
         let row = vec![0u64; 1];
         let _ = read_bits(&row, 60, 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn out_of_bounds_word_read_rejected() {
+        let row = vec![0u64; 1];
+        let _ = read_u64(&row, 60, 8);
     }
 
     #[test]

@@ -9,6 +9,14 @@
 //! the oracle replays against, the fallback for hosts without SIMD, and
 //! the `--no-default-features` build's only kernel.
 //!
+//! The kernels cover two slot shapes: one 64-bit word per slot and binary
+//! 128-bit word pairs. Every other shape (the 96-bit kv and dictionary
+//! slots, the 288-bit five-tuple slots) takes no kernel: under every
+//! flavour its occupied slots go through
+//! [`RecordLayout::key_matches`](crate::layout::RecordLayout::key_matches),
+//! one compare over unaligned 64-bit windows of the key and don't-care
+//! fields that rejects a wide key on its top 64 bits first.
+//!
 //! Dispatch rules (see DESIGN.md §15):
 //!
 //! 1. compile-time: the `simd` cargo feature gates every intrinsic path;

@@ -172,13 +172,25 @@ impl RecordLayout {
         }
     }
 
-    /// Compares the stored key at slot `slot` directly against `search`
-    /// without materializing a [`Record`] — the hardware match step
+    /// Compares the stored key at slot `slot` directly against a search
+    /// key without materializing a [`Record`] — the hardware match step
     /// (Fig. 4(b)) reads the stored bits, applies both don't-care masks,
     /// and raises the match line; only the *winning* slot is then decoded
     /// ("extract result", Sec. 3.1 step 4). Stored keys are canonical
     /// (value bits at don't-care positions are zero, enforced by
     /// [`TernaryKey::ternary`]), so the masked XOR below is exact.
+    ///
+    /// `value` is the search key and `care` its care mask (clear at the
+    /// search key's don't-care positions and above the key width); the
+    /// caller computes both once per row. Each key and don't-care field is
+    /// read in unaligned windows of at most 64 bits
+    /// ([`crate::bits::read_u64`]: two word loads, no loop). A key wider
+    /// than 64 bits is compared top 64 bits first and rejected there
+    /// before its low bits are read: candidates sharing a bucket mostly
+    /// differ in their leading fields (the addresses of a five-tuple).
+    /// The compare runs once per occupied slot of every generic row, so it
+    /// and its half-compare are forced inline: left to the inliner, they
+    /// stayed calls and the five-tuple row scan ran at half the speed.
     ///
     /// The caller is responsible for slot validity, as with
     /// [`RecordLayout::decode_slot`].
@@ -188,17 +200,34 @@ impl RecordLayout {
     /// Panics if the slot lies outside the row. The search key width is
     /// checked by the match-processor bank, not here.
     #[must_use]
-    #[inline]
-    pub fn key_matches(&self, words: &[u64], slot: u32, search: &crate::key::SearchKey) -> bool {
-        let base = self.slot_offset(slot);
-        let value = crate::bits::read_bits(words, base, self.key_bits);
+    #[inline(always)]
+    #[allow(clippy::inline_always)] // measured; see the doc above
+    #[allow(clippy::cast_possible_truncation)] // the halves compared are <= 64 bits
+    pub fn key_matches(&self, words: &[u64], slot: u32, value: u128, care: u128) -> bool {
+        let key = self.slot_offset(slot);
+        let low = self.key_bits.saturating_sub(64);
+        self.part_matches(
+            words,
+            key + low as usize,
+            self.key_bits - low,
+            (value >> low) as u64,
+            (care >> low) as u64,
+        ) && (low == 0 || self.part_matches(words, key, low, value as u64, care as u64))
+    }
+
+    /// One half of [`RecordLayout::key_matches`]: the `width` (1..=64)
+    /// stored key bits from bit `at` of the row, and their don't-care bits
+    /// one key width further, against `value` under `care`.
+    #[inline(always)]
+    #[allow(clippy::inline_always)] // as `key_matches`
+    fn part_matches(&self, words: &[u64], at: usize, width: u32, value: u64, care: u64) -> bool {
+        let stored = crate::bits::read_u64(words, at, width);
         let stored_dc = if self.ternary {
-            crate::bits::read_bits(words, base + self.key_bits as usize, self.key_bits)
+            crate::bits::read_u64(words, at + self.key_bits as usize, width)
         } else {
             0
         };
-        let care = !(stored_dc | search.dont_care()) & crate::bits::low_mask(self.key_bits);
-        (value ^ search.value()) & care == 0
+        (stored ^ value) & care & !stored_dc & (u64::MAX >> (64 - width)) == 0
     }
 
     /// Deserializes the record at slot `slot` from the row `words`.
@@ -400,41 +429,51 @@ mod tests {
 
     #[test]
     fn key_matches_agrees_with_decode_then_match() {
+        use crate::bits::low_mask;
         use crate::key::SearchKey;
-        // Ternary and binary layouts, slots at unaligned offsets too.
-        for layout in [
-            RecordLayout::new(12, true, 7),
-            RecordLayout::new(12, false, 7),
-        ] {
+        // Ternary and binary layouts, slots at unaligned offsets too. At
+        // 100 bits the 12-bit patterns sit in the key's top bits, above
+        // the split of the top-64-bits-first compare.
+        for (key_bits, ternary) in [(12, true), (12, false), (100, true), (100, false)] {
+            let layout = RecordLayout::new(key_bits, ternary, 7);
+            let shift = key_bits - 12;
             let mut words = row(4 * layout.slot_bits());
             let keys = [
-                TernaryKey::ternary(0b1010_0101_0011, 0, 12),
-                TernaryKey::ternary(0b1010_0000_0000, 0b0000_1111_1111, 12),
-                TernaryKey::binary(0, 12),
-                TernaryKey::ternary(0, 0b1111_1111_1111, 12),
+                (0b1010_0101_0011u128, 0u128),
+                (0b1010_0000_0000, 0b0000_1111_1111),
+                (0, 0),
+                (0, 0b1111_1111_1111),
             ];
-            for (slot, key) in keys.iter().enumerate() {
-                let key = if layout.is_ternary() {
-                    *key
-                } else {
-                    TernaryKey::binary(key.value(), 12)
-                };
+            for (slot, &(value, dc)) in keys.iter().enumerate() {
+                let dc = if ternary { dc << shift } else { 0 };
+                let key = TernaryKey::ternary(value << shift & !dc, dc, key_bits);
                 #[allow(clippy::cast_possible_truncation)]
                 layout.encode_slot(&mut words, slot as u32, &Record::new(key, 99));
             }
             for slot in 0..4u32 {
-                for probe in [
-                    SearchKey::new(0b1010_0101_0011, 12),
-                    SearchKey::new(0b1010_0000_1100, 12),
-                    SearchKey::with_mask(0, 0b1111_0000_0000, 12),
-                    SearchKey::with_mask(0b1010_0101_0011, 0b0000_0000_0111, 12),
+                for (value, dc) in [
+                    (0b1010_0101_0011u128, 0u128),
+                    (0b1010_0000_1100, 0),
+                    (0, 0b1111_0000_0000),
+                    (0b1010_0101_0011, 0b0000_0000_0111),
                 ] {
-                    let decoded = layout.decode_slot(&words, slot);
-                    assert_eq!(
-                        layout.key_matches(&words, slot, &probe),
-                        decoded.key.matches(&probe),
-                        "layout {layout:?} slot {slot} probe {probe:?}"
-                    );
+                    // Setting bit 0 makes the 100-bit probes differ only
+                    // below the split, which the top compare cannot see.
+                    for low in [0, 1] {
+                        let probe =
+                            SearchKey::with_mask(value << shift | low, dc << shift, key_bits);
+                        let decoded = layout.decode_slot(&words, slot);
+                        assert_eq!(
+                            layout.key_matches(
+                                &words,
+                                slot,
+                                probe.value(),
+                                !probe.dont_care() & low_mask(key_bits)
+                            ),
+                            decoded.key.matches(&probe),
+                            "layout {layout:?} slot {slot} probe {probe:?}"
+                        );
+                    }
                 }
             }
         }

@@ -43,7 +43,10 @@ enum RowClass {
     /// lane compare. The care mask is confined to the key field, so this
     /// class is valid for any binary key width with 128-bit slots.
     Word2Binary,
-    /// Anything unaligned: the portable bit-addressed loop.
+    /// Every other slot shape, word aligned or not (the 96-bit kv and
+    /// dictionary slots, the 288-bit five-tuple slots): occupied slots in
+    /// priority order, each through [`RecordLayout::key_matches`], the one
+    /// unaligned-window compare, top 64 key bits first.
     Generic,
 }
 
@@ -201,26 +204,8 @@ impl MatchProcessorBank {
         let search_care = !search.dont_care() & crate::bits::low_mask(key_bits);
         let occupied = valid & crate::bits::low_mask(slots);
         let vector: u128 = if self.class == RowClass::Generic {
-            let ternary = self.layout.is_ternary();
-            let slot_bits = self.layout.slot_bits() as usize;
-            let key_field = key_bits as usize;
-            let mut vector: u128 = 0;
-            let mut pending = occupied;
-            while pending != 0 {
-                let slot = pending.trailing_zeros();
-                pending &= pending - 1;
-                let base = slot as usize * slot_bits;
-                let value = crate::bits::read_bits(row, base, key_bits);
-                let care = if ternary {
-                    search_care & !crate::bits::read_bits(row, base + key_field, key_bits)
-                } else {
-                    search_care
-                };
-                if (value ^ search_value) & care == 0 {
-                    vector |= 1 << slot;
-                }
-            }
-            vector
+            self.generic_matches(row, occupied, search_value, search_care)
+                .fold(0, |vector, slot| vector | 1 << slot)
         } else {
             // Lane-classed rows: compare every slot (garbage in invalid
             // slots is masked out below, like match lines that only fire
@@ -301,9 +286,9 @@ impl MatchProcessorBank {
     /// Steps 1–3 when only the winner is needed: occupied slots are
     /// scanned in priority (ascending slot) order and the scan stops at
     /// the first match — the priority encoder discards later matches, so
-    /// they need not be evaluated. When the stored key fits in one word
-    /// and slots are word-multiples (e.g. the 64-bit ternary IP slots),
-    /// each candidate costs a single word read and a masked compare.
+    /// they need not be evaluated. Word-per-slot rows (the 64-bit ternary
+    /// IP slots) and binary pairs take the lane kernels; every other shape
+    /// stops at the first slot [`RecordLayout::key_matches`] accepts.
     ///
     /// # Panics
     ///
@@ -388,48 +373,39 @@ impl MatchProcessorBank {
             }
             return None;
         }
-        let ternary = self.layout.is_ternary();
-        let slot_bits = self.layout.slot_bits();
-        let mut pending = valid;
-        if slot_bits.is_multiple_of(64) && self.layout.stored_key_bits() <= 64 {
-            let words_per_slot = (slot_bits / 64) as usize;
-            let key_mask = crate::bits::low_mask(key_bits) as u64;
-            let sv = search_value as u64;
-            let sc = search_care as u64;
+        self.generic_matches(row, valid, search_value, search_care)
+            .next()
+    }
+
+    /// The match lines of a `RowClass::Generic` row: the slots of
+    /// `occupied` whose stored key matches (`value`, `care`), in priority
+    /// (ascending slot) order. Lazy, so [`MatchProcessorBank::first_match`]
+    /// stops comparing at the first hit.
+    fn generic_matches<'a>(
+        &'a self,
+        row: &'a [u64],
+        occupied: u128,
+        value: u128,
+        care: u128,
+    ) -> impl Iterator<Item = u32> + 'a {
+        let mut pending = occupied;
+        std::iter::from_fn(move || {
             while pending != 0 {
                 let slot = pending.trailing_zeros();
                 pending &= pending - 1;
-                let w = row[slot as usize * words_per_slot];
-                let care = if ternary { sc & !(w >> key_bits) } else { sc };
-                if ((w & key_mask) ^ sv) & care == 0 {
+                if self.layout.key_matches(row, slot, value, care) {
                     return Some(slot);
                 }
             }
-            return None;
-        }
-        let slot_bits = slot_bits as usize;
-        let key_field = key_bits as usize;
-        while pending != 0 {
-            let slot = pending.trailing_zeros();
-            pending &= pending - 1;
-            let base = slot as usize * slot_bits;
-            let value = crate::bits::read_bits(row, base, key_bits);
-            let care = if ternary {
-                search_care & !crate::bits::read_bits(row, base + key_field, key_bits)
-            } else {
-                search_care
-            };
-            if (value ^ search_value) & care == 0 {
-                return Some(slot);
-            }
-        }
-        None
+            None
+        })
     }
 
     /// Step 4: extracts the record at the winning slot. Lane-classed rows
     /// decode straight from the slot's word(s) — the fields of a 64- or
-    /// 128-bit slot never straddle words, so the generic bit-cursor walk
-    /// of [`RecordLayout::decode_slot`] is skipped on the hit path.
+    /// 128-bit slot never straddle words, so the general window reads of
+    /// [`RecordLayout::decode_slot`] are skipped on the hit path; every
+    /// other shape decodes through them.
     ///
     /// # Panics
     ///

@@ -5,12 +5,21 @@
 //!
 //! The suite sweeps every key size from 1 to 16 bytes across all three
 //! row classes (word-per-slot, two-word binary, and the generic
-//! bit-addressed fallback), with ternary don't-care runs chosen to end
+//! unaligned-window compare), with ternary don't-care runs chosen to end
 //! exactly at, just before, and just after the 64-bit lane boundary —
 //! the shapes where a lane-split compare can drop or duplicate a care
-//! bit. Invalid slots are filled with garbage words, so the tests also
-//! pin the contract that lane kernels may compute match bits for
-//! invalid slots but callers mask them with the occupancy bitmap.
+//! bit. The generic shapes include the ones the workloads store off a
+//! word boundary: binary `kb + 32` slots (the 96-bit kv-mixed and
+//! dictionary slots at kb = 64) and ternary `2·kb + 32` slots (the
+//! five-tuple's 288-bit slots at kb = 128). Every shape is checked in a
+//! 17-slot bucket and in a 16-slot bucket whose words end exactly at the
+//! last slot's last bit, with a record in that slot, so a window read
+//! there has no padding to lean on. Each stored key is also probed as a
+//! near miss (its lowest cared bit flipped), which on a wide key only the
+//! compare of the bits below the top 64 can reject. Invalid slots are
+//! filled with garbage words, so the tests also pin the contract that
+//! lane kernels may compute match bits for invalid slots but callers mask
+//! them with the occupancy bitmap.
 //!
 //! Banks are pinned to a kernel via [`MatchProcessorBank::with_kernel`],
 //! so no process-global kernel override is involved and the tests are
@@ -25,26 +34,41 @@ use ca_ram_core::Kernel;
 use proptest::prelude::*;
 
 /// Slots per test bucket: one more than the lane kernels' 16-slot
-/// early-exit group, so `first_match` crosses a group boundary.
-const SLOTS: u32 = 17;
+/// early-exit group, so `first_match` crosses a group boundary; and 16,
+/// which ends every byte-multiple slot shape exactly on a word boundary.
+const BUCKET_SLOTS: [u32; 2] = [17, 16];
 
 /// The layouts to cross-check for a given key width, covering every row
 /// class the geometry admits:
 ///
 /// * ternary generic (`2·kb + 16` stored bits — never word aligned),
+/// * ternary `2·kb + 32` (the five-tuple's 288-bit slot at kb = 128),
+/// * binary `kb + 32` (the 96-bit kv and dictionary slot at kb = 64),
 /// * ternary word-per-slot when `2·kb ≤ 64` (the Table 2 IP shape),
 /// * binary word-per-slot when `kb ≤ 64`,
 /// * binary two-word slots when `64 ≤ kb ≤ 128` (the trigram shape).
+///
+/// At some widths two of these coincide; each is checked once.
 fn layouts_for(key_bits: u32) -> Vec<RecordLayout> {
-    let mut layouts = vec![RecordLayout::new(key_bits, true, 16)];
+    let mut candidates = vec![
+        RecordLayout::new(key_bits, true, 16),
+        RecordLayout::new(key_bits, true, 32),
+        RecordLayout::new(key_bits, false, 32),
+    ];
     if 2 * key_bits <= 64 {
-        layouts.push(RecordLayout::new(key_bits, true, 64 - 2 * key_bits));
+        candidates.push(RecordLayout::new(key_bits, true, 64 - 2 * key_bits));
     }
     if key_bits <= 64 {
-        layouts.push(RecordLayout::new(key_bits, false, 64 - key_bits));
+        candidates.push(RecordLayout::new(key_bits, false, 64 - key_bits));
     }
     if key_bits >= 64 {
-        layouts.push(RecordLayout::new(key_bits, false, 128 - key_bits));
+        candidates.push(RecordLayout::new(key_bits, false, 128 - key_bits));
+    }
+    let mut layouts = Vec::new();
+    for layout in candidates {
+        if !layouts.contains(&layout) {
+            layouts.push(layout);
+        }
     }
     layouts
 }
@@ -66,14 +90,15 @@ fn boundary_dc_len(raw: u8, key_bits: u32) -> u32 {
     }
 }
 
-/// Fills a bucket with garbage, encodes `records` into their slots, and
-/// returns the row words plus the occupancy bitmap.
+/// Fills a `slots`-slot bucket with garbage, encodes `records` into their
+/// slots, and returns the row words plus the occupancy bitmap.
 fn build_bucket(
     layout: &RecordLayout,
+    slots: u32,
     records: &[(u32, Record)],
     garbage: u64,
 ) -> (Vec<u64>, u128) {
-    let bits = layout.slot_bits() * SLOTS;
+    let bits = layout.slot_bits() * slots;
     let words = (bits as usize).div_ceil(64);
     // Invalid slots carry pseudo-random garbage: the lane kernels compare
     // them anyway and the occupancy mask must discard whatever they say.
@@ -101,6 +126,7 @@ fn check_kernels(
     probes: &[SearchKey],
     row: &[u64],
     valid: u128,
+    slots: u32,
 ) -> Result<(), TestCaseError> {
     let scalar = MatchProcessorBank::with_kernel(layout, Kernel::Scalar);
     let banks: Vec<MatchProcessorBank> = kernel::available()
@@ -108,30 +134,32 @@ fn check_kernels(
         .map(|k| MatchProcessorBank::with_kernel(layout, k))
         .collect();
     for probe in probes {
-        let oracle = scalar.match_row_decode_all(row, valid, SLOTS, probe);
+        let oracle = scalar.match_row_decode_all(row, valid, slots, probe);
         for bank in &banks {
-            let got = bank.match_row(row, valid, SLOTS, probe);
+            let got = bank.match_row(row, valid, slots, probe);
             prop_assert_eq!(
                 got,
                 oracle,
-                "match_row diverged from oracle: kernel {} layout {:?} probe {:?} records {:?}",
+                "match_row diverged from oracle: kernel {} layout {:?} slots {} probe {:?} records {:?}",
                 bank.kernel().name(),
                 layout,
+                slots,
                 probe,
                 raw_records
             );
             prop_assert_eq!(
-                bank.first_match(row, valid, SLOTS, probe),
+                bank.first_match(row, valid, slots, probe),
                 oracle.first_match,
-                "first_match diverged: kernel {} layout {:?} probe {:?}",
+                "first_match diverged: kernel {} layout {:?} slots {} probe {:?}",
                 bank.kernel().name(),
                 layout,
+                slots,
                 probe
             );
         }
         // The scalar bank runs the same dispatch; cross-check it too so a
         // bug shared by all SIMD kernels still trips against the oracle.
-        prop_assert_eq!(scalar.match_row(row, valid, SLOTS, probe), oracle);
+        prop_assert_eq!(scalar.match_row(row, valid, slots, probe), oracle);
     }
     Ok(())
 }
@@ -144,26 +172,18 @@ fn run_case(
 ) -> Result<(), TestCaseError> {
     for layout in layouts_for(key_bits) {
         let ternary = layout.is_ternary();
-        let records: Vec<(u32, Record)> = raw_records
+        let keys: Vec<TernaryKey> = raw_records
             .iter()
-            .enumerate()
-            .map(|(i, &(raw_value, raw_dc))| {
+            .map(|&(raw_value, raw_dc)| {
                 let dc = if ternary {
                     low_mask(boundary_dc_len(raw_dc, key_bits))
                 } else {
                     0
                 };
                 let value = raw_value & low_mask(key_bits) & !dc;
-                // Spread records over the bucket so runs of invalid
-                // (garbage) slots sit between valid ones.
-                let slot = u32::try_from(i * 3 % SLOTS as usize).unwrap();
-                (
-                    slot,
-                    Record::new(TernaryKey::ternary(value, dc, key_bits), 0),
-                )
+                TernaryKey::ternary(value, dc, key_bits)
             })
             .collect();
-        let (row, valid) = build_bucket(&layout, &records, garbage);
         let mut probes: Vec<SearchKey> = raw_probes
             .iter()
             .map(|&(raw_value, raw_dc)| {
@@ -177,16 +197,48 @@ fn run_case(
                 }
             })
             .collect();
-        for (_, record) in &records {
+        for key in &keys {
             // Stored form read-back and junk in the don't-care run: the
             // probes most likely to straddle a dc-run lane boundary.
-            let junk = record.key.value().rotate_left(29) & record.key.dont_care();
-            probes.push(SearchKey::new(record.key.value(), key_bits));
-            probes.push(SearchKey::new(record.key.value() | junk, key_bits));
+            let junk = key.value().rotate_left(29) & key.dont_care();
+            probes.push(SearchKey::new(key.value(), key_bits));
+            probes.push(SearchKey::new(key.value() | junk, key_bits));
+            // A near miss: the lowest cared bit flipped, every bit above it
+            // equal, so a wide key's top-64-bits compare cannot reject it.
+            let care = !key.dont_care() & low_mask(key_bits);
+            probes.push(SearchKey::new(
+                key.value() ^ (care & care.wrapping_neg()),
+                key_bits,
+            ));
         }
-        check_kernels(layout, raw_records, &probes, &row, valid)?;
+        for slots in BUCKET_SLOTS {
+            // Spread records over the bucket so runs of invalid (garbage)
+            // slots sit between valid ones; the first takes the last slot.
+            let records: Vec<(u32, Record)> = keys
+                .iter()
+                .enumerate()
+                .map(|(i, &key)| {
+                    let slot = (i * 3 + slots as usize - 1) % slots as usize;
+                    (u32::try_from(slot).unwrap(), Record::new(key, 0))
+                })
+                .collect();
+            let (row, valid) = build_bucket(&layout, slots, &records, garbage);
+            check_kernels(layout, raw_records, &probes, &row, valid, slots)?;
+        }
     }
     Ok(())
+}
+
+/// The 16-slot buckets end on a word boundary for every shape
+/// `layouts_for` builds, so their last slot's fields end on the row's
+/// last bit.
+#[test]
+fn sixteen_slot_buckets_end_on_a_word() {
+    for bytes in 1u32..=16 {
+        for layout in layouts_for(8 * bytes) {
+            assert_eq!(layout.slot_bits() * BUCKET_SLOTS[1] % 64, 0, "{layout:?}");
+        }
+    }
 }
 
 proptest! {
