@@ -5,7 +5,9 @@
 //!    by increasing S (and decreasing M)") — the generalization of the
 //!    Table 2 D-vs-F comparison.
 //! 2. **Probe policy**: linear probing vs double hashing for overflow
-//!    placement (Sec. 2.1 mentions both).
+//!    placement (Sec. 2.1 mentions both), on the design-A BGP table and on
+//!    the compiled five-tuple classifier, whose concentrated homes merge
+//!    into one spill cluster under linear probing.
 //! 3. **Area vs latency**: the α ↔ AMAL trade-off curve and its slope
 //!    ΔAMAL/Δα (Sec. 4.3: "the ratio of changes in these two values depends
 //!    on the application, the hash function, and the value of α").
@@ -15,8 +17,11 @@
 //!
 //! Usage: `ablation [--prefixes N]`
 
-use ca_ram_bench::designs::{build_ip_table, ip_designs, ip_layout, load_prefixes};
+use ca_ram_bench::designs::{
+    build_ip_table, classifier, ip_designs, ip_layout, load_prefixes, load_rules, next_hop_entries,
+};
 use ca_ram_bench::{bgp_config, rule, Cli, Result};
+use ca_ram_cam::aggregate::aggregate;
 use ca_ram_core::index::RangeSelect;
 use ca_ram_core::probe::ProbePolicy;
 use ca_ram_core::table::{Arrangement, CaRamTable, OverflowPolicy, TableConfig};
@@ -74,13 +79,17 @@ fn main() -> Result<()> {
     println!("(larger, fewer buckets absorb skew better — Sec. 2.1's claim, and D vs F)\n");
 
     // ---- 2. probe policy ----------------------------------------------------
-    println!("2. Overflow probe policy on the design-A geometry:");
-    println!("{:>14} {:>10} {:>8}", "policy", "Spill(%)", "AMALu");
-    rule(36);
-    for (name, probe) in [
+    println!("2. Overflow probe policy:");
+    println!(
+        "{:>12} {:>14} {:>10} {:>8}",
+        "table", "policy", "Spill(%)", "AMALu"
+    );
+    rule(47);
+    let policies = [
         ("linear", ProbePolicy::Linear),
         ("double-hash", ProbePolicy::SecondHash),
-    ] {
+    ];
+    for (name, probe) in policies {
         // Design A geometry: 2048 buckets of 192 slots (2 horizontal
         // slices of 96, since one slice row holds at most 128 slots).
         let layout = ip_layout();
@@ -96,12 +105,34 @@ fn main() -> Result<()> {
         load_prefixes(&mut t, &table, &weights);
         let rep = t.load_report();
         println!(
-            "{name:>14} {:>10.2} {:>8.3}",
+            "{:>12} {name:>14} {:>10.2} {:>8.3}",
+            "design A",
             rep.spilled_records_pct(),
             rep.amal_uniform
         );
     }
-    println!("(double hashing spreads clustered spills at the cost of locality)\n");
+    // perf_smoke's packet classifier (500 rules, 2^11 rows of 16 slots),
+    // compiled, then rebuilt under each policy with the compiled index.
+    let (rules, plan) = classifier(0x1103);
+    for (name, probe) in policies {
+        let cfg = TableConfig {
+            probe,
+            ..plan.config().clone()
+        };
+        let mut t = CaRamTable::new(cfg, plan.index().build())?;
+        load_rules(&mut t, &plan, &rules);
+        let rep = t.load_report();
+        println!(
+            "{:>12} {name:>14} {:>10.2} {:>8.3}",
+            "five-tuple",
+            rep.spilled_records_pct(),
+            rep.amal_uniform
+        );
+    }
+    println!(
+        "(double hashing spreads clustered spills at the cost of locality; the\n \
+         compiler picks it for rule tables, whose homes cluster)\n"
+    );
 
     // ---- 3. alpha vs AMAL ---------------------------------------------------
     println!("3. Area vs latency: alpha vs AMALu on the design-D geometry:");
@@ -166,16 +197,9 @@ fn main() -> Result<()> {
     // block codes; plain sibling aggregation is the baseline version).
     println!("5. TCAM entry-count reduction by prefix aggregation (cf. Sec. 5.1):");
     {
-        use ca_ram_cam::aggregate::{aggregate, PrefixEntry};
         // Same next hop for prefixes sharing a /20 aggregate: a plausible
         // forwarding function with mergeable siblings.
-        let entries: Vec<PrefixEntry> = table
-            .iter()
-            .map(|p| PrefixEntry {
-                key: p.to_ternary_key(),
-                data: u64::from(p.addr() >> 12) % 16,
-            })
-            .collect();
+        let entries = next_hop_entries(&table);
         let agg = aggregate(&entries);
         #[allow(clippy::cast_precision_loss)]
         let pct = 100.0 * agg.removed as f64 / entries.len() as f64;

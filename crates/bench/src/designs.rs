@@ -1,12 +1,16 @@
 //! The design points of the paper's two application studies, and builders
 //! that realize them as `CaRamTable`s over the synthetic workloads; plus
-//! the shard geometry of the serving and durability benches.
+//! the shard geometry of the serving and durability benches, and the
+//! compiled five-tuple classifier the pattern benches share.
 
+use ca_ram_cam::aggregate::PrefixEntry;
 use ca_ram_core::index::{DjbHash, RangeSelect};
 use ca_ram_core::layout::{Record, RecordLayout};
+use ca_ram_core::pattern::{compile, CompiledPlan, GeometryHint};
 use ca_ram_core::probe::ProbePolicy;
 use ca_ram_core::storage::{IndexSpec, TableSpec};
 use ca_ram_core::table::{Arrangement, CaRamTable, OverflowPolicy, TableConfig};
+use ca_ram_workloads::packet::{self, ClassifierRule, PacketClassConfig};
 use ca_ram_workloads::prefix::Ipv4Prefix;
 use ca_ram_workloads::trigram::text_ternary_key;
 
@@ -262,6 +266,66 @@ pub fn load_trigrams(table: &mut CaRamTable, entries: &[String]) {
             .insert(record)
             .unwrap_or_else(|e| panic!("inserting {s:?}: {e}"));
     }
+}
+
+/// The five-tuple classifier of `perf_smoke`'s `packet-class` row: 500
+/// rules drawn from `seed` (source prefixes /14 or longer), in priority
+/// order, and the plan that compiles the five-tuple spec onto 2^11 rows of
+/// 16 slots with 32-bit actions.
+///
+/// # Panics
+///
+/// Panics if the spec does not compile onto that geometry.
+#[must_use]
+pub fn classifier(seed: u64) -> (Vec<ClassifierRule>, CompiledPlan) {
+    let rules = packet::generate(&PacketClassConfig {
+        rules: 500,
+        min_src_len: 14,
+        seed,
+    });
+    let plan = compile(
+        &packet::classifier_spec(),
+        &GeometryHint {
+            rows_log2: 11,
+            slots_per_row: 16,
+            data_bits: 32,
+        },
+    )
+    .expect("five-tuple spec compiles");
+    (rules, plan)
+}
+
+/// Inserts every rule's lowered entries, in rule (priority) order, with
+/// plain inserts: without deletes the first match is then the
+/// earliest-inserted matching rule under any probe order.
+///
+/// # Panics
+///
+/// Panics if a rule does not lower or an insert fails.
+pub fn load_rules(table: &mut CaRamTable, plan: &CompiledPlan, rules: &[ClassifierRule]) {
+    for r in rules {
+        let records = plan
+            .lower_entry(&r.to_pattern(), r.action)
+            .expect("generated rules lower");
+        for rec in records {
+            table
+                .insert(rec)
+                .unwrap_or_else(|e| panic!("inserting rule {r:?}: {e}"));
+        }
+    }
+}
+
+/// The forwarding function `ablation` aggregates: one of 16 next hops per
+/// /20 block, so prefixes inside one block are mergeable siblings.
+#[must_use]
+pub fn next_hop_entries(prefixes: &[Ipv4Prefix]) -> Vec<PrefixEntry> {
+    prefixes
+        .iter()
+        .map(|p| PrefixEntry {
+            key: p.to_ternary_key(),
+            data: u64::from(p.addr() >> 12) % 16,
+        })
+        .collect()
 }
 
 #[cfg(test)]

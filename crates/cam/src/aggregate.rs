@@ -87,8 +87,12 @@ pub fn aggregate(entries: &[PrefixEntry]) -> Aggregated {
     }
     let dedup_removed = original - passthrough.len() - live.len();
 
-    // Worklist of candidate merge points.
+    // Worklist of candidate merge points, seeded in a fixed order: which
+    // siblings merge depends on the order they are visited (a parent merged
+    // away before its children are may be recreated by them), and a
+    // `HashMap`'s iteration order changes from map to map.
     let mut work: Vec<(u32, u128)> = live.keys().copied().collect();
+    work.sort_unstable();
     while let Some((len, value)) = work.pop() {
         if len == 0 {
             continue;
@@ -255,6 +259,34 @@ mod tests {
         // Merging the /24s into a /23 would collide with the existing /23
         // carrying different data; entries must survive.
         assert_eq!(agg.removed, 0);
+    }
+
+    #[test]
+    fn merge_order_is_fixed_across_runs() {
+        // Per block: a /23 sibling pair plus the two /24 children of one of
+        // them, all with one next hop. Visiting the /23s first merges them
+        // into the /22 and then recreates the /23 from its children (two
+        // entries left); visiting a child first leaves only the /22. Every
+        // map gets a fresh `RandomState`, so an aggregation that follows
+        // the map's iteration order gives different counts across calls.
+        let entries: Vec<PrefixEntry> = (0..16u32)
+            .flat_map(|block| {
+                let base = 0x0A00_0000 | (block << 12);
+                [
+                    p(base, 23, 1),
+                    p(base | 0x200, 23, 1),
+                    p(base, 24, 1),
+                    p(base | 0x100, 24, 1),
+                ]
+            })
+            .collect();
+        // The fixed order visits the longest prefixes first, so every block
+        // ends as its one /22.
+        let first = aggregate(&entries);
+        assert_eq!(first.entries.len(), 16, "{:?}", first.entries);
+        for _ in 0..32 {
+            assert_eq!(aggregate(&entries), first);
+        }
     }
 
     #[test]

@@ -124,7 +124,7 @@ pub trait SearchEngine: Send + Sync {
     /// # Errors
     ///
     /// As [`SearchEngine::insert`]; backends whose sorted path demands a
-    /// particular configuration (e.g. linear probing) may also return
+    /// particular configuration (e.g. probe-based overflow) may also return
     /// [`crate::error::CaRamError::BadConfig`].
     fn insert_sorted(&mut self, record: Record) -> Result<()> {
         self.insert(record)

@@ -6,10 +6,13 @@
 //! This module inverts that flow, following the architecture of pattern-to-CAM
 //! compilers (C4CAM): a workload declares *what* it matches as a
 //! [`PatternSpec`], and [`compile`] lowers the spec onto a concrete
-//! [`TableConfig`] — record layout, ternary storage decision, and index
-//! generator — producing a [`CompiledPlan`] that turns individual
-//! [`Pattern`]s into stored entries ([`CompiledPlan::lower_entry`]) and
-//! multi-probe query plans ([`CompiledPlan::lower_query`]).
+//! [`TableConfig`] — record layout, ternary storage decision, index
+//! generator and overflow probe order — producing a [`CompiledPlan`] that
+//! turns individual [`Pattern`]s into stored entries
+//! ([`CompiledPlan::lower_entry`]) and multi-probe query plans
+//! ([`CompiledPlan::lower_query`]). Rule tables probe with
+//! [`ProbePolicy::SecondHash`], a stride derived from the home bucket;
+//! every other mode probes linearly.
 //!
 //! ## The pattern IR
 //!
@@ -23,7 +26,8 @@
 //! * [`MatchMode::MultiField`] — ternary storage for rule tables
 //!   (packet classification), index bits round-robined across the *top*
 //!   bits of every field so a rule that wildcards one whole field still
-//!   duplicates into few home buckets;
+//!   duplicates into few home buckets, and home-strided overflow probing
+//!   so the spills of neighbouring homes do not merge into one cluster;
 //! * [`MatchMode::Nearest`] — binary storage of exact words, approximate
 //!   queries answered by a distance ladder of unit-masked probes
 //!   (the multi-bit approximate search of FeFET-style associative
@@ -59,6 +63,7 @@ use crate::engine::{EngineOutcome, SearchEngine};
 use crate::index::{BitSelect, DjbHash, IndexGenerator, RangeSelect};
 use crate::key::{SearchKey, TernaryKey, MAX_KEY_BITS};
 use crate::layout::{Record, RecordLayout, MAX_DATA_BITS};
+use crate::probe::ProbePolicy;
 use crate::table::{CaRamTable, TableConfig};
 
 /// Worst-case entry count one logical pattern may lower to, for a
@@ -222,7 +227,10 @@ pub enum MatchMode {
     /// Longest-prefix match; ternary storage, top-of-key range index.
     Lpm,
     /// Masked multi-field rules; ternary storage, index bits round-robined
-    /// over the top bits of every field.
+    /// over the top bits of every field, overflow probed along
+    /// [`ProbePolicy::SecondHash`]'s home-derived stride. Load rules with
+    /// plain inserts in priority order: without deletes the first match
+    /// under any probe order is the earliest-inserted matching rule.
     MultiField,
     /// Nearest-match over fixed-width units (e.g. bytes of a word); binary
     /// storage, index bits round-robined one per unit, approximate queries
@@ -875,9 +883,14 @@ pub struct CompiledPlan {
 /// Lowers `spec` onto a concrete CA-RAM configuration.
 ///
 /// Storage is ternary exactly when the mode needs masks
-/// ([`MatchMode::Lpm`] / [`MatchMode::MultiField`]); the index generator is
-/// chosen per mode (see the module docs). `hint.rows_log2` becomes the
-/// index width.
+/// ([`MatchMode::Lpm`] / [`MatchMode::MultiField`]); the index generator
+/// and the overflow probe order are chosen per mode (see the module docs).
+/// [`MatchMode::MultiField`] gets [`ProbePolicy::SecondHash`]: its homes,
+/// concentrated by the round-robin index bits, would merge into one long
+/// spill cluster under linear probing. [`MatchMode::Lpm`] keeps
+/// [`ProbePolicy::Linear`], the one chain order that
+/// [`CaRamTable::insert_sorted`] keeps sorted for online route updates.
+/// `hint.rows_log2` becomes the index width.
 ///
 /// # Errors
 ///
@@ -900,25 +913,40 @@ pub fn compile(spec: &PatternSpec, hint: &GeometryHint) -> Result<CompiledPlan, 
             hint.data_bits
         )));
     }
-    let index = match spec.mode() {
-        MatchMode::Exact => IndexChoice::Hash {
-            index_bits,
-            key_bytes: bits.div_ceil(8),
-        },
-        MatchMode::Lpm => IndexChoice::Range {
-            low: bits - index_bits,
-            count: index_bits,
-        },
-        MatchMode::MultiField => IndexChoice::Bits {
-            positions: multi_field_positions(spec, index_bits),
-        },
-        MatchMode::Nearest { unit_bits, .. } => IndexChoice::Bits {
-            positions: nearest_positions(bits, unit_bits, index_bits),
-        },
+    let (index, probe) = match spec.mode() {
+        MatchMode::Exact => (
+            IndexChoice::Hash {
+                index_bits,
+                key_bytes: bits.div_ceil(8),
+            },
+            ProbePolicy::Linear,
+        ),
+        MatchMode::Lpm => (
+            IndexChoice::Range {
+                low: bits - index_bits,
+                count: index_bits,
+            },
+            ProbePolicy::Linear,
+        ),
+        MatchMode::MultiField => (
+            IndexChoice::Bits {
+                positions: multi_field_positions(spec, index_bits),
+            },
+            ProbePolicy::SecondHash,
+        ),
+        MatchMode::Nearest { unit_bits, .. } => (
+            IndexChoice::Bits {
+                positions: nearest_positions(bits, unit_bits, index_bits),
+            },
+            ProbePolicy::Linear,
+        ),
     };
     let layout = RecordLayout::new(bits, spec.is_ternary(), hint.data_bits);
     let row_bits = hint.slots_per_row * layout.slot_bits();
-    let config = TableConfig::single_slice(hint.rows_log2, row_bits, layout);
+    let config = TableConfig {
+        probe,
+        ..TableConfig::single_slice(hint.rows_log2, row_bits, layout)
+    };
     Ok(CompiledPlan {
         spec: spec.clone(),
         index,
@@ -1316,6 +1344,27 @@ mod tests {
                 positions: vec![7, 15, 23, 31, 6, 14]
             }
         );
+    }
+
+    #[test]
+    fn compile_picks_strided_probing_for_rule_tables_only() {
+        let hint = GeometryHint::default();
+        let probe = |spec: &PatternSpec| compile(spec, &hint).unwrap().config().probe;
+        assert_eq!(
+            probe(&PatternSpec::five_tuple()),
+            ProbePolicy::SecondHash,
+            "rule tables must not merge their spills into one linear cluster"
+        );
+        assert_eq!(
+            probe(&PatternSpec::exact("e", 64).unwrap()),
+            ProbePolicy::Linear
+        );
+        assert_eq!(
+            probe(&PatternSpec::lpm("l", 32).unwrap()),
+            ProbePolicy::Linear,
+            "online sorted route updates need one chain order"
+        );
+        assert_eq!(probe(&PatternSpec::dictionary(4, 1)), ProbePolicy::Linear);
     }
 
     #[test]

@@ -222,10 +222,11 @@ pub struct CaRamTable {
     home_counts: Vec<u32>,
     bucket_had_spill: Vec<bool>,
     overflow: Option<OverflowStore>,
-    /// Set once a delete has occurred: a later insert may then place a
-    /// shorter prefix upstream of a previously evicted longer one, so LPM
-    /// searches must scan the full reach instead of stopping at the first
-    /// match (see `search`).
+    /// Set once a delete has removed a record (a later insert may then
+    /// place a shorter prefix upstream of a previously evicted longer one)
+    /// or once a strided table has taken an `insert_sorted` (it has no one
+    /// chain order to keep sorted). LPM searches then scan the full reach
+    /// instead of stopping at the first match (see `search`).
     full_scan: bool,
     /// Optional telemetry receiver. `None` (the default) runs the probe
     /// walk with the zero-sized [`NullSink`]: the only cost is one branch.
@@ -395,8 +396,9 @@ impl CaRamTable {
     }
 
     /// Whether searches scan the full reach instead of stopping at the
-    /// first match (set permanently by the first delete; see the field
-    /// docs).
+    /// first match (set permanently by the first delete that removes a
+    /// record, or by the first [`CaRamTable::insert_sorted`] on a strided
+    /// table; see the field docs).
     #[must_use]
     pub fn full_scan(&self) -> bool {
         self.full_scan
@@ -898,6 +900,12 @@ impl CaRamTable {
     /// Placement statistics ([`CaRamTable::load_report`]) reflect only the
     /// newly inserted record, not cascade movements.
     ///
+    /// A [`ProbePolicy::SecondHash`] table has no single chain order to
+    /// keep sorted: each home walks its own stride. There the record is
+    /// placed as [`CaRamTable::insert`] places it, and the table switches
+    /// to full-reach best-care search, the mode a delete already enters
+    /// (see [`CaRamTable::full_scan`]), so priority stays exact.
+    ///
     /// # Examples
     ///
     /// ```
@@ -922,20 +930,21 @@ impl CaRamTable {
     /// # Errors
     ///
     /// As [`CaRamTable::insert_weighted`]; additionally returns
-    /// [`CaRamError::BadConfig`] if the table uses double hashing or a
-    /// parallel overflow area (sorted chains require linear probing).
+    /// [`CaRamError::BadConfig`] if the table has an overflow area
+    /// ([`OverflowPolicy::ParallelArea`] or [`OverflowPolicy::VictimSlice`]):
+    /// sorted placement needs probe-based overflow.
     #[allow(clippy::missing_panics_doc)] // internal expects: bounds checked at new()
     pub fn insert_sorted(&mut self, record: Record) -> Result<InsertOutcome> {
-        if self.config.probe != ProbePolicy::Linear {
-            return Err(CaRamError::BadConfig(
-                "insert_sorted requires linear probing".into(),
-            ));
-        }
         let OverflowPolicy::Probe { max_steps } = self.config.overflow else {
             return Err(CaRamError::BadConfig(
                 "insert_sorted requires probe-based overflow".into(),
             ));
         };
+        if self.config.probe != ProbePolicy::Linear {
+            let outcome = self.insert(record)?;
+            self.full_scan = true;
+            return Ok(outcome);
+        }
         if record.key.bits() != self.config.layout.key_bits() {
             return Err(CaRamError::KeyWidthMismatch {
                 expected: self.config.layout.key_bits(),
@@ -1085,10 +1094,11 @@ impl CaRamTable {
     /// Looks up `key`: probes the home bucket and, if the bucket has
     /// overflowed, up to *reach* further buckets. Under the sorted-insert
     /// discipline (and before any delete) the first match in probe order is
-    /// the longest, so the scan stops there; after a delete the chain may
-    /// interleave priorities and the full reach is scanned, keeping the
-    /// best match by care count. The parallel overflow area, if configured,
-    /// is consulted at no extra memory-access cost.
+    /// the longest, so the scan stops there; after a delete (or a sorted
+    /// insert into a strided table) the chain may interleave priorities
+    /// and the full reach is scanned, keeping the best match by care
+    /// count. The parallel overflow area, if configured, is consulted at
+    /// no extra memory-access cost.
     ///
     /// The hot path is allocation-free for unmasked search keys: home
     /// buckets are computed once into an inline buffer (shared with the
@@ -2032,21 +2042,37 @@ mod tests {
     }
 
     #[test]
-    fn insert_sorted_rejects_wrong_configs() {
-        let layout = RecordLayout::new(16, false, 8);
+    fn insert_sorted_on_strided_table_places_and_scans_full_reach() {
+        // Each home of a strided table walks its own stride, so there is
+        // no one chain order to keep sorted: the record is placed as
+        // `insert` places it and the table latches best-care search.
         let config = TableConfig {
-            rows_log2: 3,
-            row_bits: 96,
-            layout,
-            arrangement: Arrangement::Horizontal(1),
             probe: ProbePolicy::SecondHash,
-            overflow: OverflowPolicy::Probe { max_steps: 8 },
+            ..lpm_table().config().clone()
         };
-        let mut t = CaRamTable::new(config, Box::new(RangeSelect::new(0, 3))).unwrap();
-        assert!(matches!(
-            t.insert_sorted(rec(1, 1)),
-            Err(CaRamError::BadConfig(_))
-        ));
+        let mut t = CaRamTable::new(config, Box::new(RangeSelect::new(24, 3))).unwrap();
+        assert!(!t.full_scan());
+        // Two /16s fill home bucket 1 (2 slots); the /24 arriving after
+        // them spills one stride down bucket 1's chain.
+        t.insert_sorted(Record::new(prefix(0x0100_0000, 16), 16))
+            .unwrap();
+        assert!(t.full_scan());
+        t.insert_sorted(Record::new(prefix(0x0101_0000, 16), 17))
+            .unwrap();
+        let long = t
+            .insert_sorted(Record::new(prefix(0x0100_0100, 24), 24))
+            .unwrap();
+        assert_eq!(long.placements[0].displacement, 1);
+        // The short prefix, inserted first and resident at the home,
+        // does not shadow the long one.
+        let got = t.search(&SearchKey::new(0x0100_0101, 32));
+        assert_eq!(got.hit.unwrap().record.data, 24);
+        let got = t.search(&SearchKey::new(0x0100_F000, 32));
+        assert_eq!(got.hit.unwrap().record.data, 16);
+    }
+
+    #[test]
+    fn insert_sorted_rejects_wrong_configs() {
         let mut t = small_table(
             Arrangement::Horizontal(1),
             OverflowPolicy::ParallelArea { capacity: 4 },

@@ -74,19 +74,29 @@ fn check_differential(
 ) -> Result<(), TestCaseError> {
     let mut model = ReferenceModel::new(key_bits);
     let mut stored = Vec::new();
-    for &(raw_value, raw_sel, data) in records {
+    for (i, &(raw_value, raw_sel, data)) in records.iter().enumerate() {
         let dc_len = boundary_dc_len(raw_sel, key_bits);
         let mask = low_mask(dc_len);
         let value = raw_value & low_mask(key_bits) & !mask;
         let record = Record::new(TernaryKey::ternary(value, mask, key_bits), u64::from(data));
         // Sorted insertion keeps overlapping prefixes in care order (the
-        // LPM build discipline); plain insert only promises priority once
-        // a delete has forced full-scan search. A wide don't-care run can
+        // LPM build discipline) on a linear table, and switches a strided
+        // table to full-scan search; plain insert only promises priority
+        // once a delete has forced full-scan search. A wide don't-care run can
         // multiply one record across every home bucket; capacity
         // exhaustion is a legitimate outcome and must leave the table
         // unchanged (the rollback path), so a failed insert simply never
-        // reaches the model.
-        if table.insert_sorted(record).is_ok() {
+        // reaches the model. An empty table holds one record in every home
+        // bucket, so the first record always loads, under either probe
+        // policy: a table that refused it would leave nothing to compare.
+        let loaded = table.insert_sorted(record).is_ok();
+        prop_assert!(
+            loaded || i > 0,
+            "the first record {:#x}/{:#x} did not load into an empty table",
+            value,
+            mask
+        );
+        if loaded {
             model.insert(record);
             stored.push((value, mask, dc_len));
         }
@@ -151,6 +161,8 @@ proptest! {
 
     /// Non-pow-2 table (48 logical buckets), second-hash probing: the
     /// coprime-stride path, again at every key size from 1 to 16 bytes.
+    /// Its sorted inserts place as plain inserts and latch full-reach
+    /// best-care search.
     #[test]
     fn second_hash_non_pow2_table_matches_model_on_mask_boundaries(
         bytes in 1u32..=16,

@@ -15,7 +15,11 @@
 use ca_ram_core::key::{SearchKey, TernaryKey};
 use ca_ram_core::oracle::ReferenceModel;
 use ca_ram_core::pattern::{compile, GeometryHint, Pattern};
-use ca_ram_workloads::packet::{classifier_spec, ClassifierRule, PortMatch};
+use ca_ram_core::probe::ProbePolicy;
+use ca_ram_core::table::{CaRamTable, TableConfig};
+use ca_ram_workloads::packet::{
+    self, classifier_spec, ClassifierRule, PacketClassConfig, PortMatch,
+};
 use ca_ram_workloads::{bgp, ipv6, prefix, trigram};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -133,6 +137,82 @@ fn compiled_ipv4_lpm_table_agrees_with_reference_model() {
         let got = table.search(&key).hit.map(|h| h.record.data);
         assert!(expected.admits(got), "random probe diverged from model");
     }
+}
+
+/// The compiled five-tuple classifier probes its spills along home-derived
+/// strides. A twin built from the same config and index with linear
+/// probing, loaded with the same plain inserts, gives every packet of a flow
+/// trace the same action: with no deletes, every slot ahead of a record on
+/// its home's chain was full when the record was placed, so under any probe
+/// order the first match is the earliest-inserted matching rule. Only the
+/// rows read differ: linear probing merges the concentrated homes' spills
+/// into one cluster.
+#[test]
+fn strided_classifier_answers_as_its_linear_twin_in_fewer_rows() {
+    const SEED: u64 = 0x1103;
+    let rules = packet::generate(&PacketClassConfig {
+        rules: 500,
+        min_src_len: 14,
+        seed: SEED,
+    });
+    let plan = compile(
+        &classifier_spec(),
+        &GeometryHint {
+            rows_log2: 11,
+            slots_per_row: 16,
+            data_bits: 32,
+        },
+    )
+    .expect("five-tuple spec compiles");
+    let mut strided = plan.build_table().expect("geometry is valid");
+    let twin = TableConfig {
+        probe: ProbePolicy::Linear,
+        ..plan.config().clone()
+    };
+    let mut linear = CaRamTable::new(twin, plan.index().build()).expect("geometry is valid");
+    let mut model = ReferenceModel::new(classifier_spec().key_bits());
+    for r in &rules {
+        let entries = plan
+            .lower_entry(&r.to_pattern(), r.action)
+            .expect("generated rules lower");
+        for e in &entries {
+            strided.insert(*e).expect("the rules fit the strided table");
+            linear.insert(*e).expect("the rules fit the linear twin");
+        }
+        model.insert_compiled(&entries);
+    }
+    let trace = packet::flow_trace(&rules, 20_000, 0.8, SEED ^ 0xF10);
+    let (mut strided_rows, mut linear_rows) = (0u64, 0u64);
+    for pkt in &trace {
+        let value = pkt.pack();
+        let query = plan
+            .lower_query(&Pattern::Exact { value })
+            .expect("headers lower");
+        let s = query.execute(&strided);
+        let l = query.execute(&linear);
+        let action = s.hit.map(|h| h.data);
+        assert_eq!(action, l.hit.map(|h| h.data), "packet {pkt:?}");
+        let expected = model.expected(&SearchKey::new(value, 128));
+        assert!(
+            expected.admits(action),
+            "packet {pkt:?} got {action:?}, model accepts {:?}",
+            expected.accepted
+        );
+        strided_rows += u64::from(s.memory_accesses);
+        linear_rows += u64::from(l.memory_accesses);
+    }
+    #[allow(clippy::cast_precision_loss)]
+    let per_query = |rows: u64| rows as f64 / trace.len() as f64;
+    assert!(
+        per_query(strided_rows) <= 6.0,
+        "strided table read {} rows per query",
+        per_query(strided_rows)
+    );
+    assert!(
+        per_query(linear_rows) >= 50.0,
+        "linear twin read only {} rows per query",
+        per_query(linear_rows)
+    );
 }
 
 /// The checked-in `range_expansion_one_value_128b.ops` fixture stores the
