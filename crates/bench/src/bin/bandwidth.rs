@@ -179,21 +179,11 @@ fn trace_driven(lookups: usize) -> Result<()> {
             .map(|&i| ca_ram_core::key::SearchKey::new(pack_text_key(&entries[i]), 128))
             .collect()
     };
-    // The serial and parallel batch paths must agree bit-for-bit; then
-    // both are timed over the whole trace in the same rounds.
-    assert_eq!(
-        table.search_batch(&keys),
-        table.search_batch_parallel(&keys, 0),
-        "serial and parallel batch paths disagree"
-    );
     let m = measure(
         GATE_ROUNDS,
-        &mut [&mut |_| Ok(table.search_batch(&keys).len()), &mut |_| {
-            Ok(table.search_batch_parallel(&keys, 0).len())
-        }],
+        &mut [&mut |_| Ok(table.search_batch(&keys).len())],
     )?;
     println!("\nSimulator throughput over the same table (host-side, not modelled hardware):");
     println!("  search_batch           {:.0} keys/s", m.rate(0));
-    println!("  search_batch_parallel  {:.0} keys/s", m.rate(1));
     Ok(())
 }

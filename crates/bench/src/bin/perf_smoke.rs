@@ -3,18 +3,17 @@
 //! Not a paper artifact: this measures the *simulator itself*. For each
 //! Table 2 IP design it loads a synthetic BGP table and times, in the same
 //! interleaved rounds of [`measure`], the serial batch (`search_batch`) of a
-//! scalar-kernel twin, the serial batch of the active-kernel table, and the
-//! sharded parallel batch (`search_batch_parallel`). Each is reported as a
-//! median keys/s with quartiles, next to the measured mean memory accesses
-//! per search. Results are written as JSON for tracking across revisions.
+//! scalar-kernel twin and the serial batch of the active-kernel table. Each
+//! is reported as a median keys/s with quartiles, next to the measured mean
+//! memory accesses per search. Results are written as JSON for tracking
+//! across revisions.
 //! Two gates decide on median per-round ratios — the SIMD kernel's speedup
 //! over the scalar twin and the telemetry sink's overhead — and a third
 //! bounds the rows the compiled packet classifier reads per query, a
 //! simulated count that catches a probe order whose spills cluster. The
 //! run fails, after the report is written, if any gate does.
 //!
-//! Usage: `perf_smoke [--prefixes N] [--lookups N] [--seed S] [--threads T]
-//! [--out PATH]`
+//! Usage: `perf_smoke [--prefixes N] [--lookups N] [--seed S] [--out PATH]`
 
 use std::hint::black_box;
 use std::sync::Arc;
@@ -180,11 +179,10 @@ fn pattern_workloads(lookups: usize, seed: u64) -> Result<Vec<PatternThroughput>
 }
 
 fn main() -> Result<()> {
-    let cli = Cli::from_env("prefixes lookups seed threads out", "")?;
+    let cli = Cli::from_env("prefixes lookups seed out", "")?;
     let prefixes_n: usize = cli.parse("prefixes", 20_000)?;
     let lookups: usize = cli.parse("lookups", 100_000)?;
     let seed: u64 = cli.parse("seed", 0x1103)?;
-    let threads: usize = cli.parse("threads", 0)?;
     let out_path = cli.value("out").unwrap_or("BENCH_search.json").to_string();
     ensure(prefixes_n > 0, "--prefixes must be > 0")?;
     // The dictionary row queries `lookups / 10` typos, split across the
@@ -213,10 +211,10 @@ fn main() -> Result<()> {
         kernel.name()
     );
     println!(
-        "{:^6} {:>14} {:>14} {:>14} {:>20} {:>8}",
-        "Design", "scalar keys/s", "serial keys/s", "par keys/s", "simd x [q1, q3]", "mem/srch"
+        "{:^6} {:>14} {:>14} {:>20} {:>8}",
+        "Design", "scalar keys/s", "serial keys/s", "simd x [q1, q3]", "mem/srch"
     );
-    rule(82);
+    rule(67);
 
     let mut results: Vec<DesignThroughput> = Vec::new();
     for d in ip_designs() {
@@ -231,15 +229,8 @@ fn main() -> Result<()> {
         });
         assert_eq!(scalar_table.kernel(), Kernel::Scalar, "design {}", d.name);
 
-        // Correctness: both batch paths and the scalar twin must agree
-        // exactly.
+        // Correctness: the scalar twin must agree exactly.
         let serial_outcomes = table.search_batch(&keys);
-        assert_eq!(
-            serial_outcomes,
-            table.search_batch_parallel(&keys, threads),
-            "design {}",
-            d.name
-        );
         assert_eq!(
             serial_outcomes,
             scalar_table.search_batch(&keys),
@@ -251,33 +242,24 @@ fn main() -> Result<()> {
             stats.record(o.hit.is_some(), o.memory_accesses);
         }
 
-        // The serial pair repeats the whole trace every round; the parallel
-        // pass is split across the rounds instead.
         let m = measure(
             ROUNDS,
-            &mut [
-                &mut |_| Ok(fold_batch(&scalar_table, &keys)),
-                &mut |_| Ok(fold_batch(&table, &keys)),
-                &mut |r| {
-                    let chunk = round_chunk(&keys, r, ROUNDS);
-                    Ok(black_box(table.search_batch_parallel(chunk, threads)).len())
-                },
-            ],
+            &mut [&mut |_| Ok(fold_batch(&scalar_table, &keys)), &mut |_| {
+                Ok(fold_batch(&table, &keys))
+            }],
         )?;
         let r = DesignThroughput {
             name: d.name,
             scalar: m.rate(0),
             serial: m.rate(1),
-            parallel: m.rate(2),
             simd_speedup: m.ratio(1, 0),
             mean_accesses: stats.measured_amal(),
         };
         println!(
-            "{:^6} {:>14.0} {:>14.0} {:>14.0} {:>7.2}x [{:.2}, {:.2}] {:>8.3}",
+            "{:^6} {:>14.0} {:>14.0} {:>7.2}x [{:.2}, {:.2}] {:>8.3}",
             r.name,
             r.scalar.median,
             r.serial.median,
-            r.parallel.median,
             r.simd_speedup.median,
             r.simd_speedup.q1,
             r.simd_speedup.q3,
@@ -285,7 +267,7 @@ fn main() -> Result<()> {
         );
         results.push(r);
     }
-    rule(82);
+    rule(67);
     println!("(keys/s: medians of {ROUNDS} interleaved rounds)");
 
     // Telemetry overhead: the serial batch on design A with a shallow
@@ -335,7 +317,6 @@ fn main() -> Result<()> {
     let report = SearchReport {
         prefixes: prefixes_n,
         lookups,
-        threads,
         kernel: kernel.name().to_string(),
         telemetry_slowdown,
         designs: results,

@@ -282,7 +282,7 @@ pub fn repeat_to(budget: usize, mut pass: impl FnMut() -> usize) -> usize {
 }
 
 /// Throughput of one design point under the serial batch (scalar and
-/// active kernel) and the parallel batch, in keys/s per round.
+/// active kernel), in keys/s per round.
 #[derive(Debug, Clone)]
 pub struct DesignThroughput {
     /// Design letter.
@@ -291,8 +291,6 @@ pub struct DesignThroughput {
     pub scalar: Stats,
     /// The allocation-free serial batch.
     pub serial: Stats,
-    /// The sharded parallel batch.
-    pub parallel: Stats,
     /// Serial-batch speedup of the active compare kernel over the
     /// scalar-kernel twin, per round (1.0 by construction when scalar is
     /// active).
@@ -331,8 +329,6 @@ pub struct SearchReport {
     pub prefixes: usize,
     /// Lookup count of the trace.
     pub lookups: usize,
-    /// Requested parallel thread count (0 = auto).
-    pub threads: usize,
     /// Name of the active compare kernel the tables captured
     /// (`scalar`, `128`, or `256`).
     pub kernel: String,
@@ -374,12 +370,10 @@ impl SearchReport {
         json.push_str("  \"benchmark\": \"search\",\n");
         let _ = write!(
             json,
-            "  \"prefixes\": {},\n  \"lookups\": {},\n  \"threads\": {},\n  \
-             \"kernel\": \"{}\",\n  \
+            "  \"prefixes\": {},\n  \"lookups\": {},\n  \"kernel\": \"{}\",\n  \
              \"min_simd_speedup\": {},\n  \"telemetry_slowdown\": {},\n",
             self.prefixes,
             self.lookups,
-            self.threads,
             self.kernel,
             self.min_simd_speedup().to_json(4),
             self.telemetry_slowdown.to_json(4),
@@ -390,12 +384,10 @@ impl SearchReport {
                 json,
                 "    {{\"name\": \"{}\", \
                  \"scalar_keys_per_sec\": {}, \"serial_keys_per_sec\": {}, \
-                 \"parallel_keys_per_sec\": {}, \"simd_speedup\": {}, \
-                 \"mean_memory_accesses\": {:.4}}}{}",
+                 \"simd_speedup\": {}, \"mean_memory_accesses\": {:.4}}}{}",
                 r.name,
                 r.scalar.to_json(1),
                 r.serial.to_json(1),
-                r.parallel.to_json(1),
                 r.simd_speedup.to_json(4),
                 r.mean_accesses,
                 if i + 1 == self.designs.len() { "" } else { "," },
@@ -475,14 +467,12 @@ mod tests {
         let report = SearchReport {
             prefixes: 10,
             lookups: 20,
-            threads: 0,
             kernel: "256".to_string(),
             telemetry_slowdown: stats(1.0125),
             designs: vec![DesignThroughput {
                 name: "A",
                 scalar: stats(200.0),
                 serial: stats(250.0),
-                parallel: stats(500.0),
                 simd_speedup: stats(1.25),
                 mean_accesses: 1.25,
             }],
@@ -505,6 +495,8 @@ mod tests {
             "serial_speedup",
             "parallel_speedup",
             "telemetry_overhead_pct",
+            "parallel_keys_per_sec",
+            "threads",
         ] {
             assert!(!json.contains(retired), "{retired}");
         }

@@ -5,9 +5,9 @@
 //! and buckets may now interleave priorities, so search must compare
 //! care counts instead of trusting first-match order. This test drives
 //! the same delete-then-backfill prefix workload through every
-//! LPM-capable substrate — single search, the trait batch paths, and the
-//! table's inherent batch/parallel paths — and checks each answer against
-//! the [`ReferenceModel`].
+//! LPM-capable substrate — single search, the trait batch path, and the
+//! table's inherent batch path — and checks each answer against the
+//! [`ReferenceModel`].
 //!
 //! [`CaRamSubsystem`]: ca_ram_core::subsystem::CaRamSubsystem
 //! [`ReferenceModel`]: ca_ram_core::oracle::ReferenceModel
@@ -112,20 +112,17 @@ fn every_lpm_engine_agrees_with_the_model_after_deletes() {
                 exp.accepted
             );
         }
-        // Trait batch paths (serial and parallel) must agree slot for slot.
-        let serial = engine.search_batch(&probes);
-        let parallel = engine.search_batch_parallel(&probes, 4);
-        for (i, key) in probes.iter().enumerate() {
+        // The trait batch path, slot for slot.
+        let batch = engine.search_batch(&probes);
+        for (i, (key, out)) in probes.iter().zip(&batch).enumerate() {
             let exp = model.expected(key);
-            for (path, out) in [("batch", &serial[i]), ("batch_parallel", &parallel[i])] {
-                let got = out.hit.as_ref().map(|h| h.data);
-                assert!(
-                    exp.admits(got),
-                    "{}: {path}[{i}] returned {got:?}, model accepts {:?}",
-                    case.name,
-                    exp.accepted
-                );
-            }
+            let got = out.hit.as_ref().map(|h| h.data);
+            assert!(
+                exp.admits(got),
+                "{}: batch[{i}] returned {got:?}, model accepts {:?}",
+                case.name,
+                exp.accepted
+            );
         }
     }
 }
@@ -137,8 +134,8 @@ fn table_search_and_batch_paths_match_model_after_delete() {
     use ca_ram_core::table::{Arrangement, OverflowPolicy};
 
     // Same workload, driven through the table's inherent search paths
-    // (per key, batch, parallel batch): in full-reach mode all three must
-    // stay bit-identical and give answers the model accepts. The geometry
+    // (per key, batch): in full-reach mode both must stay bit-identical
+    // and give answers the model accepts. The geometry
     // is the fleet's "ca-ram/linear" design, built directly so the
     // inherent paths are reachable.
     let mut table = ca_ram_table(
@@ -166,11 +163,6 @@ fn table_search_and_batch_paths_match_model_after_delete() {
 
     let per_key: Vec<_> = probes.iter().map(|k| table.search(k)).collect();
     assert_eq!(table.search_batch(&probes), per_key, "batch vs search");
-    assert_eq!(
-        table.search_batch_parallel(&probes, 4),
-        per_key,
-        "batch_parallel vs search"
-    );
     for (i, (key, outcome)) in probes.iter().zip(&per_key).enumerate() {
         let exp = model.expected(key);
         let got = outcome.hit.map(|h| h.record.data);

@@ -8,16 +8,15 @@
 //!
 //! The trait is object-safe: the required surface is `search` / `insert` /
 //! `delete` / `key_bits` / `occupancy`. The one batch hook a backend may
-//! override is [`SearchEngine::search_batch_into`]; `search_batch` and the
-//! sharded `search_batch_parallel` are provided methods built on it, and
-//! every host-parallel loop in the crate splits its work with [`shard`].
+//! override is [`SearchEngine::search_batch_into`]; `search_batch` is a
+//! provided method built on it. Batches run serially on the calling
+//! thread; the serving layer's shard workers are where more than one core
+//! is used.
 //!
 //! Implementations for concrete backends live next to the backends:
 //! [`crate::table::CaRamTable`] and the [`crate::subsystem::CaRamSubsystem`]
 //! adapter here in `ca-ram-core`, the CAM baselines in `ca-ram-cam`, and the
 //! software-index bridge in `ca-ram-softsearch`.
-
-use std::ops::Range;
 
 use crate::error::Result;
 use crate::key::{SearchKey, TernaryKey};
@@ -81,17 +80,17 @@ impl EngineReport {
 /// probed with search keys at a measurable memory-access cost.
 ///
 /// The trait is object-safe — benches and tests drive backends through
-/// `&dyn SearchEngine`. The `Sync` supertrait is what lets the provided
-/// [`SearchEngine::search_batch_parallel`] shard one `&self` across scoped
-/// threads; `Send` is what lets a serving layer hand whole engines to
-/// worker threads (every in-tree backend is plain owned data).
+/// `&dyn SearchEngine`. The `Send` supertrait is what lets a serving layer
+/// hand whole engines to worker threads (every in-tree backend is plain
+/// owned data).
 ///
 /// Backends with a faster concrete pipeline (e.g. `CaRamTable`'s
 /// allocation-free scratch path) keep their inherent methods and override
-/// [`SearchEngine::search_batch_into`] to delegate; both provided batch
-/// methods then reach that pipeline, so driving a backend through the
-/// trait costs one virtual dispatch per call and nothing else.
-pub trait SearchEngine: Send + Sync {
+/// [`SearchEngine::search_batch_into`] to delegate; the provided
+/// [`SearchEngine::search_batch`] then reaches that pipeline, so driving a
+/// backend through the trait costs one virtual dispatch per call and
+/// nothing else.
+pub trait SearchEngine: Send {
     /// A short human-readable backend name for reports.
     fn name(&self) -> &str;
 
@@ -161,7 +160,7 @@ pub trait SearchEngine: Send + Sync {
     ///
     /// The one batch hook: backends with reusable probe scratch or a
     /// batched round trip override this, and [`SearchEngine::search_batch`]
-    /// and [`SearchEngine::search_batch_parallel`] inherit it.
+    /// inherits it.
     fn search_batch_into(&self, keys: &[SearchKey], out: &mut Vec<EngineOutcome>) {
         out.clear();
         out.extend(keys.iter().map(|k| self.search(k)));
@@ -173,58 +172,6 @@ pub trait SearchEngine: Send + Sync {
         self.search_batch_into(keys, &mut out);
         out
     }
-
-    /// Looks up a batch of keys across `threads` worker threads
-    /// (0 = all available cores): [`shard`] splits `keys` into contiguous
-    /// ranges, each runs [`SearchEngine::search_batch`], and the outcomes
-    /// come back in input order.
-    fn search_batch_parallel(&self, keys: &[SearchKey], threads: usize) -> Vec<EngineOutcome> {
-        shard(keys.len(), threads, |range| self.search_batch(&keys[range])).concat()
-    }
-}
-
-/// Splits `0..n` into up to `threads` contiguous ranges (`0` = one per
-/// available CPU; never more ranges than items, never fewer than one),
-/// runs `work` on each on its own scoped thread, and returns the results
-/// in range order. A single range runs inline on the calling thread.
-///
-/// The one host-parallel loop of the crate: parallel batch search shards
-/// key ranges through it, the bulk scans shard bucket ranges.
-///
-/// # Panics
-///
-/// Re-raises the panic of any worker whose `work` panicked.
-pub fn shard<T, F>(n: usize, threads: usize, work: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(Range<usize>) -> T + Sync,
-{
-    let threads = if threads == 0 {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    } else {
-        threads
-    }
-    .clamp(1, n.max(1));
-    if threads == 1 {
-        return vec![work(0..n)];
-    }
-    let chunk = n.div_ceil(threads);
-    std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..n)
-            .step_by(chunk)
-            .map(|start| {
-                let work = &work;
-                scope.spawn(move || work(start..(start + chunk).min(n)))
-            })
-            .collect();
-        workers
-            .into_iter()
-            .map(|w| {
-                w.join()
-                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
-            })
-            .collect()
-    })
 }
 
 pub mod conformance;
@@ -246,16 +193,6 @@ mod tests {
             capacity: Some(0),
         };
         assert_eq!(zero_cap.load_factor(), None);
-    }
-
-    #[test]
-    fn shard_resolves_zero_and_clamps() {
-        let ranges = |n, threads| shard(n, threads, |r| r);
-        assert!(!ranges(100, 0).is_empty());
-        assert_eq!(ranges(3, 8), vec![0..1, 1..2, 2..3]);
-        assert_eq!(ranges(100, 2), vec![0..50, 50..100]);
-        assert_eq!(ranges(10, 4), vec![0..3, 3..6, 6..9, 9..10]);
-        assert_eq!(ranges(0, 4), vec![0..0]);
     }
 
     #[test]

@@ -46,14 +46,12 @@ impl Probe {
     }
 }
 
-/// Checks batch ≡ serial ≡ parallel bit-equivalence over an already-loaded
-/// engine.
+/// Checks batch ≡ serial bit-equivalence over an already-loaded engine.
 ///
 /// Serial per-key `search` results are the reference. `search_batch_into`
 /// — the serving layer's only engine call — must reproduce them into a
-/// reused buffer that still holds stale outcomes, and `search_batch` and
-/// `search_batch_parallel` (at several thread counts, including the
-/// serial count 1) must reproduce them exactly.
+/// reused buffer that still holds stale outcomes, and `search_batch` must
+/// reproduce them exactly.
 ///
 /// # Panics
 ///
@@ -73,14 +71,6 @@ pub fn check_batch_equivalence(engine: &dyn SearchEngine, keys: &[SearchKey]) {
 
     let batch = engine.search_batch(keys);
     assert_eq!(serial, batch, "{name}: search_batch diverged from serial");
-
-    for threads in [0, 1, 3] {
-        let parallel = engine.search_batch_parallel(keys, threads);
-        assert_eq!(
-            serial, parallel,
-            "{name}: search_batch_parallel(threads={threads}) diverged from serial"
-        );
-    }
 }
 
 /// Checks hit/miss behavior of a loaded engine: every probe in `probes`
@@ -121,7 +111,7 @@ pub fn check_loaded(engine: &dyn SearchEngine, probes: &[Probe], misses: &[Searc
     }
 
     let mut all: Vec<SearchKey> = Vec::with_capacity(probes.len() + misses.len());
-    // Interleave hits and misses so every shard of the parallel run sees both.
+    // Interleave hits and misses so the batch alternates between them.
     let mut m = misses.iter();
     for p in probes {
         all.push(p.probe);
@@ -134,7 +124,7 @@ pub fn check_loaded(engine: &dyn SearchEngine, probes: &[Probe], misses: &[Searc
 }
 
 /// Full conformance for a mutable engine: insert→search round-trip, miss
-/// behavior, batch/parallel bit-equivalence, and delete→miss.
+/// behavior, batch bit-equivalence, and delete→miss.
 ///
 /// `engine` must start empty. Probes must be non-overlapping (no probe key
 /// may match another probe's record) so the expected hit for each is

@@ -178,8 +178,7 @@ impl CaRamSubsystem {
     /// Installs a telemetry sink on a database's table (see
     /// [`CaRamTable::set_telemetry_sink`]). The input controller
     /// additionally reports the request-queue depth to the sink at every
-    /// [`CaRamSubsystem::pump`] / [`CaRamSubsystem::pump_parallel`] — the
-    /// Fig. 5 queue-occupancy series.
+    /// [`CaRamSubsystem::pump`] — the Fig. 5 queue-occupancy series.
     pub fn set_telemetry_sink(
         &mut self,
         id: DatabaseId,
@@ -256,15 +255,6 @@ impl CaRamSubsystem {
     /// batch, so the home-bucket scratch buffer is reused across the whole
     /// queue.
     pub fn pump(&mut self) -> usize {
-        self.pump_parallel(1)
-    }
-
-    /// As [`CaRamSubsystem::pump`], but each database's batch is sharded
-    /// across `threads` worker threads (`0` = one per available CPU) via
-    /// [`CaRamTable::search_batch_parallel`]. Results are enqueued in
-    /// request order, and the counters end up exactly as after a serial
-    /// pump.
-    pub fn pump_parallel(&mut self, threads: usize) -> usize {
         let mut done = 0;
         let mut keys: Vec<SearchKey> = Vec::new();
         for db in &mut self.databases {
@@ -274,10 +264,10 @@ impl CaRamSubsystem {
             keys.clear();
             keys.extend(db.requests.drain(..));
             let mut batch = SearchStats::new();
-            for outcome in db.table.search_batch_parallel(&keys, threads) {
+            db.table.search_batch_into(&keys, |outcome| {
                 batch.record(outcome.hit.is_some(), outcome.memory_accesses);
                 db.results.push_back(PortResult { outcome });
-            }
+            });
             db.counters.merge(&batch);
             done += keys.len();
         }
@@ -357,7 +347,7 @@ impl CaRamSubsystem {
 ///
 /// Produced by [`CaRamSubsystem::engine`]; borrows the database's table
 /// mutably (for inserts and deletes) and its activity counters shared, so
-/// every search through the adapter — serial, batched, or parallel — is
+/// every search through the adapter — per key or batched — is
 /// recorded exactly as a direct [`CaRamSubsystem::search`] would be.
 pub struct DatabaseEngine<'a> {
     name: &'a str,
@@ -390,11 +380,12 @@ impl SearchEngine for DatabaseEngine<'_> {
     }
 
     // Deletion funnels into `CaRamTable::delete`, which flips the table's
-    // `full_scan` degradation flag; every subsystem search entry point —
-    // `search`/`peek`, `pump[_parallel]`, and this adapter's `search` and
-    // `search_batch_into` (behind every batch method) — reads that flag
-    // inside the table's one probe walk, so post-delete LPM lookups never
-    // shortcut the bucket scan regardless of which port they arrive on.
+    // `full_scan` degradation flag when it removes a record; every
+    // subsystem search entry point — `search`/`peek`, `pump`, and this
+    // adapter's `search` and `search_batch_into` (behind every batch
+    // method) — reads that flag inside the table's one probe walk, so
+    // post-delete LPM lookups never shortcut the bucket scan regardless of
+    // which port they arrive on.
     fn delete(&mut self, key: &crate::key::TernaryKey) -> u32 {
         self.table.delete(key)
     }
@@ -404,7 +395,7 @@ impl SearchEngine for DatabaseEngine<'_> {
     }
 
     /// The table's pipelined batch, counted once per search: every batch
-    /// method of the trait (serial or sharded) lands here.
+    /// method of the trait lands here.
     fn search_batch_into(&self, keys: &[SearchKey], out: &mut Vec<EngineOutcome>) {
         SearchEngine::search_batch_into(&*self.table, keys, out);
         let mut batch = SearchStats::new();
@@ -520,46 +511,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_pump_matches_serial_pump() {
-        let build = || {
-            let (mut sub, a, b) = subsystem();
-            for i in 0..8u64 {
-                sub.table_mut(a)
-                    .insert(Record::new(TernaryKey::binary(u128::from(i) << 3, 16), i))
-                    .unwrap();
-            }
-            for i in 0..16u128 {
-                sub.store_request(sub.request_port(a), SearchKey::new(i << 2, 16))
-                    .unwrap();
-                sub.store_request(sub.request_port(b), SearchKey::new(i, 16))
-                    .unwrap();
-            }
-            (sub, a, b)
-        };
-        let (mut serial, sa, sb) = build();
-        assert_eq!(serial.pump(), 32);
-        let drain = |sub: &mut CaRamSubsystem, id: DatabaseId| {
-            let port = sub.result_port(id);
-            let mut out = Vec::new();
-            while let Some(r) = sub.load_result(port).unwrap() {
-                out.push(r);
-            }
-            out
-        };
-        let expect_a = drain(&mut serial, sa);
-        let expect_b = drain(&mut serial, sb);
-        assert_eq!(expect_a.len(), 16);
-        for threads in [0, 1, 3] {
-            let (mut par, pa, pb) = build();
-            assert_eq!(par.pump_parallel(threads), 32, "threads={threads}");
-            assert_eq!(par.counters(pa), serial.counters(sa), "threads={threads}");
-            assert_eq!(par.counters(pb), serial.counters(sb), "threads={threads}");
-            assert_eq!(drain(&mut par, pa), expect_a, "threads={threads}");
-            assert_eq!(drain(&mut par, pb), expect_b, "threads={threads}");
-        }
-    }
-
-    #[test]
     fn adapter_batches_count_each_search_once() {
         type Batch = fn(&dyn SearchEngine, &[SearchKey]) -> Vec<EngineOutcome>;
         let (mut sub, a, _) = subsystem();
@@ -569,19 +520,13 @@ mod tests {
                 .unwrap();
         }
         let keys: Vec<SearchKey> = (0..16u128).map(|i| SearchKey::new(i << 2, 16)).collect();
-        let paths: [(&str, Batch); 4] = [
+        let paths: [(&str, Batch); 2] = [
             ("search_batch_into", |e, k| {
                 let mut out = vec![EngineOutcome::miss(0)];
                 e.search_batch_into(k, &mut out);
                 out
             }),
             ("search_batch", |e, k| e.search_batch(k)),
-            ("search_batch_parallel(1)", |e, k| {
-                e.search_batch_parallel(k, 1)
-            }),
-            ("search_batch_parallel(3)", |e, k| {
-                e.search_batch_parallel(k, 3)
-            }),
         ];
         for (path, run) in paths {
             sub.reset_counters(a);

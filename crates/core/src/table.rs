@@ -16,7 +16,6 @@
 //! "first match in probe order" exactly longest-prefix match, so a search
 //! can stop at its first hit.
 
-use crate::engine::shard;
 use crate::error::{CaRamError, Result};
 use crate::index::{buckets_for_masked_search_into, BucketList, IndexGenerator};
 use crate::key::SearchKey;
@@ -1262,12 +1261,12 @@ impl CaRamTable {
         out
     }
 
-    /// Pipelined batch core shared by the serial and sharded batch paths:
-    /// each key is hashed exactly once, one key ahead of its compare. While
-    /// key `i`'s probe chain occupies the execution ports, key `i + 1`'s
-    /// home buckets are computed into the spare scratch list and its first
-    /// home's rows and auxiliary words are prefetched; the two lists then
-    /// swap, so the hash work doubles as the prefetch address computation.
+    /// Pipelined batch core behind every batch path: each key is hashed
+    /// exactly once, one key ahead of its compare. While key `i`'s probe
+    /// chain occupies the execution ports, key `i + 1`'s home buckets are
+    /// computed into the spare scratch list and its first home's rows and
+    /// auxiliary words are prefetched; the two lists then swap, so the hash
+    /// work doubles as the prefetch address computation.
     /// Outcomes are emitted in key order, bit-identical to serial
     /// [`CaRamTable::search`] calls. Public so callers that fold or stream
     /// outcomes (benchmarks, aggregating scans) can skip materializing the
@@ -1297,21 +1296,6 @@ impl CaRamTable {
             emit(self.probe_walk::<_, false>(&keys[i], &cur, &NullSink));
             std::mem::swap(&mut cur, &mut next);
         }
-    }
-
-    /// Parallel [`CaRamTable::search_batch`]: [`shard`] splits `keys` into
-    /// contiguous ranges across `threads` scoped workers (`0` = one per
-    /// available CPU), each running the pipelined serial batch. Searches
-    /// take `&self`, so the slices are shared read-only; outcome order
-    /// matches the input order exactly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a worker thread panics (a search itself never does for
-    /// width-matching keys).
-    #[must_use]
-    pub fn search_batch_parallel(&self, keys: &[SearchKey], threads: usize) -> Vec<SearchOutcome> {
-        shard(keys.len(), threads, |range| self.search_batch(&keys[range])).concat()
     }
 
     /// Removes the record whose stored key exactly equals `key` (value,
@@ -2167,19 +2151,6 @@ mod tests {
         assert_eq!(batch.len(), probes.len());
         for (key, got) in probes.iter().zip(&batch) {
             assert_eq!(*got, t.search(key), "key {key:?}");
-        }
-    }
-
-    #[test]
-    fn parallel_batch_agrees_with_serial() {
-        let (t, probes) = loaded_table_and_probes();
-        let serial = t.search_batch(&probes);
-        for threads in [0, 1, 2, 3, 7] {
-            assert_eq!(
-                t.search_batch_parallel(&probes, threads),
-                serial,
-                "threads={threads}"
-            );
         }
     }
 }

@@ -110,7 +110,10 @@ struct EngineCell {
 
 // SAFETY: the boxed engine is accessed only from the worker thread
 // (`engine`/`write` are `unsafe fn` with that contract); the atomics carry
-// everything that crosses threads.
+// everything that crosses threads. No two threads ever hold a reference
+// to the engine at once, so this does not rely on the engine being
+// `Sync`: `SearchEngine: Send` covers handing it to the worker and
+// dropping it on whichever thread releases the last reference.
 unsafe impl Sync for EngineCell {}
 
 impl EngineCell {

@@ -11,12 +11,11 @@
 //! * A lookup's `loads` count is a function of the structure and the key
 //!   alone — the cache state only decides how *fast* each load is, never
 //!   how many there are. `memory_accesses` therefore stays deterministic
-//!   and the batch/parallel bit-equivalence contract holds even though the
+//!   and the batch ≡ serial bit-equivalence contract holds even though the
 //!   hierarchy is stateful.
 //! * All loads thread through one stateful hierarchy, so execution is
-//!   inherently serial. The parallel provided method is overridden to run
-//!   the serial batch: sharding a single cache simulator across threads
-//!   would serialize on the lock anyway and perturb the modeled hit rates.
+//!   inherently serial: the batch holds the hierarchy lock once for the
+//!   whole batch.
 //!
 //! The structures are built statically (e.g. [`ChainedHash::build`]), so
 //! [`SearchEngine::insert`] returns [`CaRamError::Unsupported`] and
@@ -107,7 +106,7 @@ fn to_u64_key(key: &SearchKey) -> u64 {
     key.value() as u64
 }
 
-impl<I: SoftIndex + Send + Sync> SearchEngine for SoftEngine<I> {
+impl<I: SoftIndex + Send> SearchEngine for SoftEngine<I> {
     fn name(&self) -> &str {
         self.index.name()
     }
@@ -166,11 +165,5 @@ impl<I: SoftIndex + Send + Sync> SearchEngine for SoftEngine<I> {
         }
         out.clear();
         out.extend(lookups.into_iter().map(to_outcome));
-    }
-
-    /// The software model is inherently serial (one stateful cache
-    /// hierarchy), so the "parallel" path runs the serial batch.
-    fn search_batch_parallel(&self, keys: &[SearchKey], _threads: usize) -> Vec<EngineOutcome> {
-        self.search_batch(keys)
     }
 }

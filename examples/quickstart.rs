@@ -64,18 +64,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         miss.memory_accesses
     );
 
-    // Batched search: the serial and sharded-parallel paths return
-    // bit-identical outcomes (the engine conformance contract).
+    // Batched search: the batch returns outcomes bit-identical to per-key
+    // search (the engine conformance contract).
     let keys: Vec<SearchKey> = (0..1_000u128)
         .map(|i| SearchKey::new(0x1111_2222 + (i % 3) * 0x1000, 32))
         .collect();
-    let serial = engine.search_batch(&keys);
-    let parallel = engine.search_batch_parallel(&keys, 4);
-    assert_eq!(serial, parallel);
+    let batch = engine.search_batch(&keys);
+    let per_key: Vec<_> = keys.iter().map(|k| engine.search(k)).collect();
+    assert_eq!(batch, per_key);
     println!(
-        "batched {} lookups: {} hits (serial == parallel)",
+        "batched {} lookups: {} hits (batch == per-key)",
         keys.len(),
-        serial.iter().filter(|o| o.hit.is_some()).count()
+        batch.iter().filter(|o| o.hit.is_some()).count()
     );
 
     // Delete removes the record and frees the slot.
